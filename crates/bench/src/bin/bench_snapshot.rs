@@ -3,7 +3,7 @@
 //! Three modes:
 //!
 //! ```text
-//! bench_snapshot --kernel tick|event|wheel --out BENCH_X.json [--samples N]
+//! bench_snapshot --kernel tick|wheel --out BENCH_X.json [--samples N]
 //! bench_snapshot --compare BENCH_BASELINE.json BENCH_NEW.json
 //! bench_snapshot --gate BENCH_BASELINE.json BENCH_NEW.json
 //! ```
@@ -25,7 +25,7 @@ use spb_sim::KernelMode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench_snapshot --kernel tick|event|wheel --out FILE [--samples N]\n       bench_snapshot --compare BASELINE NEW\n       bench_snapshot --gate BASELINE NEW"
+        "usage: bench_snapshot --kernel tick|wheel --out FILE [--samples N]\n       bench_snapshot --compare BASELINE NEW\n       bench_snapshot --gate BASELINE NEW"
     );
     std::process::exit(2);
 }

@@ -277,8 +277,8 @@ pub struct RunOpts {
     pub fault_rate: f64,
     /// Fault-injection seed (independent of the workload seed).
     pub fault_seed: u64,
-    /// Execution kernel (push-based `wheel` by default; `event` and
-    /// `tick` keep the earlier kernels as equivalence references).
+    /// Execution kernel (skip-ahead `wheel` by default; `tick` is the
+    /// lock-step reference it is verified against).
     pub kernel: KernelMode,
     /// Wrong-path squash model (`SquashConfig::none()` = off).
     pub squash: SquashConfig,
@@ -1019,7 +1019,7 @@ USAGE:
                                                 full 230-cell quick grid)
   spbsim client health [--addr H:P]             print the service health snapshot
   spbsim client shutdown [--addr H:P]           stop the service gracefully
-  spbsim bench --baseline SNAPSHOT.json [--kernel wheel|event|tick] [--samples N]
+  spbsim bench --baseline SNAPSHOT.json [--kernel wheel|tick] [--samples N]
                                                 re-time the quick benchmark grid and
                                                 print the geomean speedup over the
                                                 committed snapshot
@@ -1049,9 +1049,9 @@ RUN OPTIONS:
   --jobs N        sweep worker threads            (default $SPB_JOBS or all cores)
   --fault-rate R  uniform memory fault-injection rate in [0,1] (default 0 = off)
   --fault-seed N  fault-injection seed            (default 1)
-  --kernel K      execution kernel: wheel (push-based timing wheel,
-                  default), event (probe-polling skip-ahead) or tick
-                  (legacy lock-step reference; bit-identical results)
+  --kernel K      execution kernel: wheel (skip-ahead on a flat wake
+                  table, default) or tick (lock-step reference;
+                  bit-identical results)
   --squash SPEC   wrong-path squash model — SPEC is a comma list of
                   rate=[0,1], depth=MIN..MAX, storm=N, ret2spec=on|off,
                   seed=N (rate=0 disables; parse(label(s)) == s)
@@ -1122,6 +1122,22 @@ mod tests {
         }
     }
 
+    /// The `event` kernel is gone; every `--kernel` flag says so by
+    /// name and lists what is left instead of a generic "unknown".
+    #[test]
+    fn rejects_the_removed_event_kernel() {
+        for args in [
+            &["run", "--app", "x264", "--kernel", "event"][..],
+            &["sweep", "--app", "x264", "--kernel", "event"],
+            &["bench", "--baseline", "b.json", "--kernel", "event"],
+        ] {
+            let err = parse(args.iter().copied()).unwrap_err().to_string();
+            assert!(err.contains("--kernel"), "{args:?}: {err}");
+            assert!(err.contains("'event' kernel was removed"), "{args:?}: {err}");
+            assert!(err.contains("tick, wheel"), "{args:?}: {err}");
+        }
+    }
+
     #[test]
     fn parses_bench_against_a_baseline() {
         let cmd = parse(["bench", "--baseline", "BENCH_PR9.json"]).unwrap();
@@ -1133,13 +1149,13 @@ mod tests {
                 samples: 3,
             }
         );
-        match parse(["bench", "--baseline", "b.json", "--kernel", "event", "--samples", "5"])
+        match parse(["bench", "--baseline", "b.json", "--kernel", "tick", "--samples", "5"])
             .unwrap()
         {
             Command::Bench {
                 kernel, samples, ..
             } => {
-                assert_eq!(kernel, KernelMode::Event);
+                assert_eq!(kernel, KernelMode::Tick);
                 assert_eq!(samples, 5);
             }
             other => panic!("wrong parse: {other:?}"),

@@ -322,6 +322,18 @@ mod tests {
         ResultCache::open(dir).unwrap()
     }
 
+    /// Cache keys are persistent: a warm cache stays valid only while
+    /// the key of an unchanged cell stays the same. These values were
+    /// computed before the `event` kernel was removed; `KernelMode`'s
+    /// `Debug` rendering (`Wheel`) is part of the key and must not move.
+    #[test]
+    fn default_config_keys_are_stable() {
+        let key = CacheKey::for_cell("x264", &SimConfig::paper_default());
+        assert_eq!(key.hex(), "8b0456f4de5c0b65");
+        let key = CacheKey::for_cell("mcf", &SimConfig::quick().with_sb(14));
+        assert_eq!(key.hex(), "7eb483dd3b99a566");
+    }
+
     #[test]
     fn store_then_lookup_round_trips() {
         let cache = tmp_cache("roundtrip");

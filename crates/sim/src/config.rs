@@ -15,48 +15,43 @@ pub const IDEAL_SB_ENTRIES: usize = 1024;
 
 /// Which execution kernel drives the cores and the memory system.
 ///
-/// All kernels produce bit-identical [`crate::RunResult`]s (pinned by
+/// Both kernels produce bit-identical [`crate::RunResult`]s (pinned by
 /// the golden quick grid and the `spb-verify` kernel-equivalence
-/// property); they differ only in wall-clock time. The tick kernel is
-/// the permanent reference implementation, and the probe-polling event
-/// kernel is kept as a second verification point between it and the
-/// default timing-wheel kernel.
+/// property); they differ only in wall-clock time and in
+/// [`crate::KernelStats`]. The tick kernel is the permanent reference
+/// implementation; the wheel kernel is the default.
+///
+/// The `Debug` rendering is part of the content-addressed cache-key
+/// format, so the variant names stay as they are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// Legacy lock-step kernel: tick every component every cycle.
+    /// Lock-step kernel: tick every component every cycle.
     Tick,
-    /// Discrete-event skip-ahead kernel: when every core is stalled
-    /// with no same-cycle work, jump `now` to the earliest
-    /// `next_event_at` horizon and replay the skipped span's
-    /// accounting in bulk.
-    Event,
-    /// Push-based timing-wheel kernel (DESIGN.md §12): components
-    /// register wakeups with a hierarchical timing wheel when their
-    /// state settles instead of being probed every cycle, the memory
-    /// system is ticked only on cycles where it has observable work,
-    /// and quiescent spans are replayed in bulk as under `Event`.
+    /// Skip-ahead kernel (DESIGN.md §9): components register their
+    /// next wakeup in a flat wake table when their state settles, the
+    /// memory system is ticked only on cycles where it has observable
+    /// work, and when everyone is quiescent the clock jumps to the
+    /// earliest wakeup with the skipped span's accounting replayed in
+    /// bulk.
     #[default]
     Wheel,
 }
 
 impl KernelMode {
-    /// Parses the CLI spelling (`tick` / `event` / `wheel`).
+    /// Parses the CLI spelling (`tick` / `wheel`).
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "tick" => Ok(KernelMode::Tick),
-            "event" => Ok(KernelMode::Event),
             "wheel" => Ok(KernelMode::Wheel),
-            other => Err(format!(
-                "unknown kernel '{other}' (valid: tick, event, wheel)"
-            )),
+            "event" => Err("the 'event' kernel was removed (valid: tick, wheel)".to_string()),
+            other => Err(format!("unknown kernel '{other}' (valid: tick, wheel)")),
         }
     }
 
-    /// Display label (`tick` / `event` / `wheel`).
+    /// Display label (`tick` / `wheel`).
     pub fn label(&self) -> &'static str {
         match self {
             KernelMode::Tick => "tick",
-            KernelMode::Event => "event",
             KernelMode::Wheel => "wheel",
         }
     }
@@ -545,11 +540,15 @@ mod tests {
         assert_eq!(SimConfig::paper_default().kernel, KernelMode::Wheel);
         assert_eq!(KernelMode::default(), KernelMode::Wheel);
         assert_eq!(KernelMode::parse("tick"), Ok(KernelMode::Tick));
-        assert_eq!(KernelMode::parse("event"), Ok(KernelMode::Event));
         assert_eq!(KernelMode::parse("wheel"), Ok(KernelMode::Wheel));
         let e = KernelMode::parse("warp").unwrap_err();
         assert!(e.contains("tick") && e.contains("wheel"), "{e}");
         assert_eq!(KernelMode::Tick.label(), "tick");
         assert_eq!(KernelMode::Wheel.label(), "wheel");
+        // `Debug` is part of the cache key: it must not move.
+        assert_eq!(format!("{:?}", KernelMode::Wheel), "Wheel");
+        let e = KernelMode::parse("event").unwrap_err();
+        assert!(e.contains("'event'") && e.contains("removed"), "{e}");
+        assert!(e.contains("tick, wheel"), "{e}");
     }
 }

@@ -1,67 +1,47 @@
-//! Hierarchical timing-wheel wakeup scheduler for the `wheel` kernel.
+//! Flat wakeup table for the `wheel` kernel.
 //!
-//! [`TimingWheel`] is the run loop's registry of pending component
+//! [`WakeTable`] is the run loop's registry of pending component
 //! wakeups: each wake source (one per core, one for the memory system,
 //! one for the watchdog deadline) holds **at most one** registration at
-//! a time, identified by a small dense id. Near-future wakeups (within
-//! [`NEAR_SLOTS`] cycles of the wheel origin) live in a 256-slot
-//! bitmask wheel; far-future ones overflow into a fixed-capacity
-//! array-backed min-heap. Everything is allocated once at construction
-//! — registering, cancelling and popping never allocate.
+//! a time, identified by a small dense id. The table is one exact
+//! deadline per source. A run has at most cores + 2 sources, so a
+//! linear scan over them is cheaper than any bucketed structure: a jump
+//! costs O(sources) however far it goes. The table is allocated once at
+//! construction — registering, cancelling and advancing never allocate.
 //!
-//! The soundness contract mirrors DESIGN.md §12: a wakeup may fire
+//! The soundness contract mirrors DESIGN.md §9: a wakeup may fire
 //! *early* (the woken component simply finds no work and re-registers),
 //! but must never fire *late* — a component registering `t` promises it
-//! has no observable work strictly before `t`. The wheel itself
-//! preserves registered times exactly (no rounding): slots hold a
-//! bitmask of due sources and each source's exact deadline is kept in
-//! `wake_at`, so [`TimingWheel::next_wake`] returns precisely the
-//! earliest registered cycle.
-
-/// Slots in the near wheel: wakeups within this many cycles of the
-/// wheel origin are O(1) bitmask operations; later ones go to the
-/// overflow heap and migrate in as the origin advances.
-pub const NEAR_SLOTS: u64 = 256;
+//! has no observable work strictly before `t`. The table preserves
+//! registered times exactly (no rounding), so
+//! [`WakeTable::next_wake`] returns precisely the earliest registered
+//! cycle.
 
 /// Sentinel for "no wakeup registered".
 const NONE: u64 = u64::MAX;
 
-/// A fixed-capacity wakeup scheduler. See the [module docs](self).
+/// A fixed-size wakeup scheduler. See the [module docs](self).
 #[derive(Debug, Clone)]
-pub struct TimingWheel {
+pub struct WakeTable {
     /// Exact registered deadline per source id (`NONE` = unregistered).
     wake_at: Vec<u64>,
-    /// Wheel origin: all registrations are ≥ `base`.
+    /// Origin: all registrations are ≥ `base`.
     base: u64,
-    /// Per-slot bitmask of source ids due at `base + slot_distance`.
-    /// Indexed by `wake_at[id] % NEAR_SLOTS` (slots never hold entries
-    /// more than one lap apart because far entries sit in the heap).
-    slots: [u32; NEAR_SLOTS as usize],
-    /// Occupancy summary: bit `s` of word `s / 64` set iff `slots[s]`
-    /// is non-empty. Lets `next_wake` find the earliest occupied slot
-    /// with a handful of word scans instead of 256 loads.
-    summary: [u64; (NEAR_SLOTS / 64) as usize],
-    /// Overflow min-heap of `(deadline, id)` for wakeups ≥ `base +
-    /// NEAR_SLOTS`. Capacity = number of ids; never grows.
-    far: Vec<(u64, u8)>,
 }
 
-impl TimingWheel {
-    /// A wheel for `ids` wake sources (ids `0..ids`), with its origin
-    /// at cycle `base`. Supports at most 32 sources (slot bitmasks are
-    /// `u32`; 16 cores + memory + watchdog fits comfortably).
+impl WakeTable {
+    /// A table for `ids` wake sources (ids `0..ids`), with its origin
+    /// at cycle `base`. Supports at most 32 sources (16 cores + memory
+    /// + watchdog fits comfortably).
     ///
     /// # Panics
     ///
     /// Panics if `ids > 32`.
     pub fn new(ids: usize, base: u64) -> Self {
-        assert!(ids <= 32, "timing wheel supports at most 32 wake sources");
+        assert!(ids <= 32, "wake table supports at most 32 wake sources");
         Self {
             wake_at: vec![NONE; ids],
             base,
-            slots: [0; NEAR_SLOTS as usize],
-            summary: [0; (NEAR_SLOTS / 64) as usize],
-            far: Vec::with_capacity(ids),
         }
     }
 
@@ -73,212 +53,35 @@ impl TimingWheel {
         }
     }
 
-    fn slot_of(t: u64) -> usize {
-        (t % NEAR_SLOTS) as usize
-    }
-
-    fn set_slot(&mut self, t: u64, id: usize) {
-        let s = Self::slot_of(t);
-        self.slots[s] |= 1 << id;
-        self.summary[s / 64] |= 1 << (s % 64);
-    }
-
-    fn clear_slot(&mut self, t: u64, id: usize) {
-        let s = Self::slot_of(t);
-        self.slots[s] &= !(1 << id);
-        if self.slots[s] == 0 {
-            self.summary[s / 64] &= !(1 << (s % 64));
-        }
-    }
-
     /// Registers (or re-registers) source `id` to wake at `at`,
     /// replacing any previous registration. `at` is clamped up to the
-    /// wheel origin — firing early is sound, firing late is not, and a
+    /// origin — firing early is sound, firing late is not, and a
     /// request in the past means "wake immediately".
     pub fn register(&mut self, id: usize, at: u64) {
-        self.cancel(id);
-        let at = at.max(self.base);
-        self.wake_at[id] = at;
-        if at - self.base < NEAR_SLOTS {
-            self.set_slot(at, id);
-        } else {
-            heap_push(&mut self.far, (at, id as u8));
-        }
+        self.wake_at[id] = at.max(self.base);
     }
 
-    /// Cancels any pending wakeup for `id`. O(1) for near entries,
-    /// O(log n) for far ones (n ≤ the id count).
+    /// Cancels any pending wakeup for `id`.
     pub fn cancel(&mut self, id: usize) {
-        let t = self.wake_at[id];
-        if t == NONE {
-            return;
-        }
         self.wake_at[id] = NONE;
-        if t - self.base < NEAR_SLOTS {
-            self.clear_slot(t, id);
-        } else {
-            heap_remove(&mut self.far, id as u8);
-        }
     }
 
-    /// Advances the wheel origin to `now`, consuming every registration
-    /// with deadline ≤ `now` (the woken sources re-register when they
-    /// next quiesce) and migrating far entries that came within the
-    /// near window.
+    /// Advances the origin to `now`, consuming every registration with
+    /// deadline ≤ `now` (the woken sources re-register when they next
+    /// quiesce).
     pub fn advance_to(&mut self, now: u64) {
-        debug_assert!(now >= self.base, "the wheel origin never rewinds");
-        // Consume due near entries: every slot in [base, now] (one full
-        // lap at most — beyond that the slots repeat). The per-id
-        // deadline guard below keeps a not-yet-due entry sharing a
-        // visited slot alive.
-        let lap = (now - self.base).min(NEAR_SLOTS - 1);
-        for d in 0..=lap {
-            let s = Self::slot_of(self.base + d);
-            let mut bits = self.slots[s];
-            while bits != 0 {
-                let id = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if self.wake_at[id] <= now {
-                    self.slots[s] &= !(1 << id);
-                    self.wake_at[id] = NONE;
-                }
-            }
-            if self.slots[s] == 0 {
-                self.summary[s / 64] &= !(1 << (s % 64));
+        debug_assert!(now >= self.base, "the origin never rewinds");
+        for t in &mut self.wake_at {
+            if *t <= now {
+                *t = NONE;
             }
         }
         self.base = now;
-        // Consume due far entries and migrate near-window ones.
-        while let Some(&(t, id)) = self.far.first() {
-            if t <= now {
-                heap_pop(&mut self.far);
-                self.wake_at[id as usize] = NONE;
-            } else if t - now < NEAR_SLOTS {
-                heap_pop(&mut self.far);
-                self.set_slot(t, id as usize);
-            } else {
-                break;
-            }
-        }
     }
 
     /// The earliest registered wakeup, if any.
     pub fn next_wake(&self) -> Option<u64> {
-        let mut best = match self.far.first() {
-            Some(&(t, _)) => t,
-            None => NONE,
-        };
-        // Scan the summary bitmap from the origin's slot, wrapping once.
-        let start = Self::slot_of(self.base);
-        let mut s = start;
-        loop {
-            let word = s / 64;
-            // Mask off slots before `s` within this word.
-            let bits = self.summary[word] & (!0u64 << (s % 64));
-            if bits != 0 {
-                let slot = word * 64 + bits.trailing_zeros() as usize;
-                if let Some(t) = self.earliest_in_slot(slot) {
-                    best = best.min(t);
-                    break;
-                }
-            }
-            s = (word + 1) * 64 % NEAR_SLOTS as usize;
-            if s == start / 64 * 64 {
-                // Wrapped to the starting word: finish its head slots.
-                let bits = self.summary[start / 64] & !(!0u64 << (start % 64));
-                if bits != 0 {
-                    let slot = start / 64 * 64 + bits.trailing_zeros() as usize;
-                    if let Some(t) = self.earliest_in_slot(slot) {
-                        best = best.min(t);
-                    }
-                }
-                break;
-            }
-        }
-        match best {
-            NONE => None,
-            t => Some(t),
-        }
-    }
-
-    fn earliest_in_slot(&self, slot: usize) -> Option<u64> {
-        let mut bits = self.slots[slot];
-        let mut best = NONE;
-        while bits != 0 {
-            let id = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            best = best.min(self.wake_at[id]);
-        }
-        match best {
-            NONE => None,
-            t => Some(t),
-        }
-    }
-}
-
-/// Sift-up push for the fixed-capacity `(deadline, id)` min-heap.
-fn heap_push(heap: &mut Vec<(u64, u8)>, entry: (u64, u8)) {
-    heap.push(entry);
-    let mut i = heap.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if heap[parent].0 <= heap[i].0 {
-            break;
-        }
-        heap.swap(parent, i);
-        i = parent;
-    }
-}
-
-/// Removes and returns the minimum entry.
-fn heap_pop(heap: &mut Vec<(u64, u8)>) -> Option<(u64, u8)> {
-    if heap.is_empty() {
-        return None;
-    }
-    let last = heap.len() - 1;
-    heap.swap(0, last);
-    let min = heap.pop();
-    sift_down(heap, 0);
-    min
-}
-
-/// Removes the entry belonging to `id`, wherever it sits.
-fn heap_remove(heap: &mut Vec<(u64, u8)>, id: u8) {
-    if let Some(i) = heap.iter().position(|&(_, h)| h == id) {
-        let last = heap.len() - 1;
-        heap.swap(i, last);
-        heap.pop();
-        if i < heap.len() {
-            sift_down(heap, i);
-            // The swapped-in entry may also need to move up.
-            let mut j = i;
-            while j > 0 {
-                let parent = (j - 1) / 2;
-                if heap[parent].0 <= heap[j].0 {
-                    break;
-                }
-                heap.swap(parent, j);
-                j = parent;
-            }
-        }
-    }
-}
-
-fn sift_down(heap: &mut [(u64, u8)], mut i: usize) {
-    loop {
-        let (l, r) = (2 * i + 1, 2 * i + 2);
-        let mut smallest = i;
-        if l < heap.len() && heap[l].0 < heap[smallest].0 {
-            smallest = l;
-        }
-        if r < heap.len() && heap[r].0 < heap[smallest].0 {
-            smallest = r;
-        }
-        if smallest == i {
-            return;
-        }
-        heap.swap(i, smallest);
-        i = smallest;
+        self.wake_at.iter().copied().min().filter(|&t| t != NONE)
     }
 }
 
@@ -287,35 +90,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_wheel_has_no_wake() {
-        let w = TimingWheel::new(4, 0);
+    fn empty_table_has_no_wake() {
+        let w = WakeTable::new(4, 0);
         assert_eq!(w.next_wake(), None);
         assert_eq!(w.registered(0), None);
     }
 
     #[test]
     fn register_and_next_wake_round_trip() {
-        let mut w = TimingWheel::new(4, 100);
+        let mut w = WakeTable::new(4, 100);
         w.register(0, 150);
         w.register(1, 120);
-        w.register(2, 5_000); // far
+        w.register(2, 5_000);
         assert_eq!(w.next_wake(), Some(120));
         assert_eq!(w.registered(2), Some(5_000));
     }
 
     #[test]
     fn re_register_replaces_previous_deadline() {
-        let mut w = TimingWheel::new(2, 0);
+        let mut w = WakeTable::new(2, 0);
         w.register(0, 10);
-        w.register(0, 700); // near → far
+        w.register(0, 700);
         assert_eq!(w.next_wake(), Some(700));
-        w.register(0, 3); // far → near
+        w.register(0, 3);
         assert_eq!(w.next_wake(), Some(3));
     }
 
     #[test]
-    fn cancel_removes_near_and_far_entries() {
-        let mut w = TimingWheel::new(3, 0);
+    fn cancel_removes_entries() {
+        let mut w = WakeTable::new(3, 0);
         w.register(0, 10);
         w.register(1, 9_999);
         w.cancel(0);
@@ -327,30 +130,30 @@ mod tests {
 
     #[test]
     fn past_deadlines_clamp_to_the_origin() {
-        let mut w = TimingWheel::new(1, 500);
+        let mut w = WakeTable::new(1, 500);
         w.register(0, 3);
         assert_eq!(w.next_wake(), Some(500));
     }
 
     #[test]
-    fn advance_consumes_due_and_migrates_far() {
-        let mut w = TimingWheel::new(4, 0);
+    fn advance_consumes_only_due_entries() {
+        let mut w = WakeTable::new(4, 0);
         w.register(0, 5);
         w.register(1, 200);
-        w.register(2, 300); // far at base 0
+        w.register(2, 300);
         w.register(3, 10_000);
         w.advance_to(200);
         assert_eq!(w.registered(0), None, "due entries are consumed");
         assert_eq!(w.registered(1), None);
-        assert_eq!(w.registered(2), Some(300), "migrated into the near window");
+        assert_eq!(w.registered(2), Some(300), "later entries survive");
         assert_eq!(w.next_wake(), Some(300));
         w.advance_to(9_999);
         assert_eq!(w.next_wake(), Some(10_000));
     }
 
     #[test]
-    fn advance_over_a_full_lap_drains_everything_due() {
-        let mut w = TimingWheel::new(8, 0);
+    fn advance_drains_everything_due() {
+        let mut w = WakeTable::new(8, 0);
         for id in 0..8 {
             w.register(id, 1 + id as u64 * 37);
         }
@@ -358,12 +161,12 @@ mod tests {
         assert_eq!(w.next_wake(), None);
     }
 
-    /// The wheel agrees with a naive sorted list under a deterministic
+    /// The table agrees with a naive model under a deterministic
     /// register/cancel/advance interleaving — the same op mix the
     /// `spb-verify` fuzzer drives, in miniature.
     #[test]
     fn matches_naive_model_under_interleaving() {
-        let mut w = TimingWheel::new(8, 0);
+        let mut w = WakeTable::new(8, 0);
         let mut model = [NONE; 8];
         let mut now = 0u64;
         let mut x = 0x9E37_79B9u64;

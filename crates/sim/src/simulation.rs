@@ -24,7 +24,7 @@
 //! ```
 
 use crate::config::{PolicyKind, SimConfig};
-use crate::runner::{advance, merge_cpu_stats, RunError, RunResult};
+use crate::runner::{advance, merge_cpu_stats, KernelStats, RunError, RunResult};
 use spb_cpu::core::{Core, CpuStats};
 use spb_energy::{EnergyEvents, EnergyModel};
 use spb_mem::checker::InvariantViolation;
@@ -169,6 +169,7 @@ impl Simulation {
         };
 
         let mut now: u64 = 0;
+        let mut kernel = KernelStats::default();
         // Warm-up: run until the slowest core has committed the budget.
         self.observer.emit(|| Event {
             cycle: now,
@@ -182,6 +183,7 @@ impl Simulation {
             cfg.warmup_uops,
             cfg.watchdog_cycles,
             cfg.kernel,
+            &mut kernel,
         )
         .map_err(fail)?;
         // Trace position at the measure boundary: commit is in order, so
@@ -207,6 +209,7 @@ impl Simulation {
             cfg.measure_uops,
             cfg.watchdog_cycles,
             cfg.kernel,
+            &mut kernel,
         )
         .map_err(fail)?;
         for core in &mut cores {
@@ -271,6 +274,7 @@ impl Simulation {
             burst_lengths,
             energy,
             metrics: MetricsRegistry::new(),
+            kernel,
             wall_ms: wall_start.elapsed().as_secs_f64() * 1000.0,
         };
         result.metrics = build_metrics(&result, threads, warmup_ms, measure_ms);
@@ -324,6 +328,14 @@ fn build_metrics(
         .counter("l2_accesses", r.mem.l2_accesses)
         .counter("l3_accesses", r.mem.l3_accesses)
         .counter("dram_accesses", r.mem.dram_accesses);
+    let k = &r.kernel;
+    reg.component("kernel")
+        .counter("cycles_executed", k.cycles_executed)
+        .counter("cycles_skipped", k.cycles_skipped)
+        .counter("jumps", k.jumps)
+        .counter("probes", k.probes)
+        .counter("busy_probes", k.busy_probes)
+        .counter("mem_ticks", k.mem_ticks);
     reg.component("sb").histogram(&r.sb_residency);
     reg.component("spb").histogram(&r.burst_lengths);
     // Registered only when the squash model actually fired, so runs

@@ -7,8 +7,8 @@
 # Takes a fresh wheel-kernel snapshot of the quick SPEC grid and runs
 # `bench_snapshot --gate` against the committed baseline. The gate
 # compares per-bench MINIMA and calibrates by the snapshot-wide median
-# ratio, so a uniformly slower CI runner passes while any bench that
-# regressed >10% relative to its peers fails the job. This is the
+# ratio, so a uniformly slower CI runner passes while any bench slower
+# than 1.25x its peers' ratio (GATE_TOLERANCE) fails the job. This is the
 # blocking counterpart of scripts/bench_smoke.sh (which stays advisory).
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -21,19 +21,22 @@ run cargo build --release --offline -p spb-bench
 
 # Every committed snapshot must exist — a silently dropped file would
 # turn the regression comparison into a no-op.
-for snap in BENCH_BASELINE.json BENCH_EVENTKERNEL.json BENCH_PR8.json BENCH_PR9.json; do
+for snap in BENCH_BASELINE.json BENCH_EVENTKERNEL.json BENCH_PR8.json BENCH_PR9.json BENCH_PR10.json; do
   if [[ ! -s "$snap" ]]; then
     echo "bench_smoke: FAIL — expected committed snapshot $snap is missing or empty." >&2
-    echo "  Regenerate it with: ./target/release/bench_snapshot --kernel event --out $snap" >&2
+    echo "  Regenerate it with: ./target/release/bench_snapshot --kernel wheel --out $snap" >&2
     exit 1
   fi
 done
 
 # The committed snapshots must always parse against the current schema.
-# --compare schema-validates both sides before diffing.
+# --compare schema-validates both sides before diffing. A snapshot's
+# kernel is a plain string, so the historical `event` snapshots still
+# parse after that kernel's removal.
 run ./target/release/bench_snapshot --compare BENCH_BASELINE.json BENCH_EVENTKERNEL.json
 run ./target/release/bench_snapshot --compare BENCH_BASELINE.json BENCH_PR8.json
 run ./target/release/bench_snapshot --compare BENCH_PR8.json BENCH_PR9.json
+run ./target/release/bench_snapshot --compare BENCH_PR9.json BENCH_PR10.json
 
 if [[ "${1:-}" == "--validate" ]]; then
   echo "bench_smoke: OK (validate only)"
@@ -44,7 +47,7 @@ fi
 # regressed more than the tolerance against the committed baseline.
 fresh="$(mktemp -t bench_fresh.XXXXXX.json)"
 trap 'rm -f "$fresh"' EXIT
-run ./target/release/bench_snapshot --kernel event --out "$fresh" --samples "${SPB_BENCH_SAMPLES:-3}"
+run ./target/release/bench_snapshot --kernel wheel --out "$fresh" --samples "${SPB_BENCH_SAMPLES:-3}"
 run ./target/release/bench_snapshot --compare BENCH_BASELINE.json "$fresh"
 
 # The benches themselves must still run (and their built-in cycle-count
