@@ -108,6 +108,21 @@ impl fmt::Display for InvariantViolation {
 
 impl std::error::Error for InvariantViolation {}
 
+/// Deterministic work counters of the incremental line check
+/// (check 3 of [`crate::MemorySystem::check_invariants`] with the
+/// checker enabled). Exact counts rather than wall time, so two builds
+/// diff exactly; they cover the whole run, warm-up included.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CheckerWork {
+    /// Incremental passes run.
+    pub passes: u64,
+    /// Pending blocks re-verified, summed over passes.
+    pub blocks: u64,
+    /// Private-cache peeks (one L1 or L2 tag search each) made while
+    /// re-verifying them.
+    pub line_probes: u64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,6 +33,17 @@ pub enum DirEntry {
     },
 }
 
+impl DirEntry {
+    /// Bitmask of the cores this entry names: the owner, or the
+    /// sharers.
+    pub fn cores(self) -> u16 {
+        match self {
+            DirEntry::Owned { owner } => 1 << owner,
+            DirEntry::Shared { sharers } => sharers,
+        }
+    }
+}
+
 impl Default for DirEntry {
     /// Slot filler for the backing [`BlockMap`]; never observable
     /// through the map API.
@@ -133,10 +144,11 @@ pub struct Directory {
     /// [`find_malformed`]: Directory::find_malformed
     malformed: Vec<u64>,
     /// When enabled, blocks whose entry was written or removed since the
-    /// log was last cleared, in write order (duplicates possible). The
-    /// invariant checker re-verifies exactly these blocks instead of
-    /// sweeping every cached line.
-    mutated: Vec<u64>,
+    /// log was last cleared, in write order (duplicates possible), each
+    /// with the mask of cores named by the entry before the write or
+    /// after it. The invariant checker re-verifies exactly these blocks,
+    /// on exactly those cores, instead of sweeping every cached line.
+    mutated: Vec<(u64, u16)>,
     log_mutations: bool,
     invalidations_sent: u64,
     downgrades_sent: u64,
@@ -173,8 +185,9 @@ impl Directory {
     }
 
     /// Blocks whose entry changed since the last
-    /// [`Directory::clear_mutation_log`], in write order.
-    pub fn mutation_log(&self) -> &[u64] {
+    /// [`Directory::clear_mutation_log`], in write order, each with the
+    /// [`DirEntry::cores`] of its old and new entry ORed together.
+    pub fn mutation_log(&self) -> &[(u64, u16)] {
         &self.mutated
     }
 
@@ -221,9 +234,6 @@ impl Directory {
 
     /// Writes `block`'s entry, keeping the malformed-block list exact.
     fn set(&mut self, block: u64, e: DirEntry) {
-        if self.log_mutations {
-            self.mutated.push(block);
-        }
         match Self::malformed_why(&e, self.cores) {
             Some(_) => {
                 if !self.malformed.contains(&block) {
@@ -236,18 +246,22 @@ impl Directory {
                 }
             }
         }
-        self.entries.insert(block, e);
+        let old = self.entries.insert(block, e);
+        if self.log_mutations {
+            self.mutated
+                .push((block, e.cores() | old.map_or(0, DirEntry::cores)));
+        }
     }
 
     /// Removes `block`'s entry, keeping the malformed-block list exact.
     fn unset(&mut self, block: u64) {
-        if self.log_mutations {
-            self.mutated.push(block);
-        }
         if !self.malformed.is_empty() {
             self.malformed.retain(|&b| b != block);
         }
-        self.entries.remove(block);
+        let old = self.entries.remove(block);
+        if self.log_mutations {
+            self.mutated.push((block, old.map_or(0, DirEntry::cores)));
+        }
     }
 
     /// Core `core` requests ownership of `block` (store / RFO).
@@ -528,6 +542,36 @@ mod tests {
         d.reinstate_owner(1, 10);
         assert_eq!(d.entry(10), Some(DirEntry::Owned { owner: 0 }));
         assert_eq!(d.reinstates(), 1);
+    }
+
+    #[test]
+    fn mutation_log_names_old_and_new_cores() {
+        let mut d = Directory::new(8);
+        d.request_exclusive(5, 1);
+        assert!(d.mutation_log().is_empty(), "logging is off by default");
+        d.enable_mutation_log();
+        d.request_shared(5, 1); // owner re-reads: no write
+        d.request_shared(2, 1); // Owned{5} -> Shared{2,5}
+        d.request_shared(3, 1); // Shared{2,5} -> Shared{2,3,5}
+        d.evicted(5, 1); // Shared{2,3,5} -> Shared{2,3}
+        d.request_exclusive(7, 1); // Shared{2,3} -> Owned{7}
+        d.evicted(7, 1); // unset: Owned{7} -> none
+        d.evicted(4, 2); // nothing tracked: no write
+        d.reinstate_owner(6, 2); // none -> Owned{6}
+        assert_eq!(
+            d.mutation_log(),
+            [
+                (1, 0b0010_0100),
+                (1, 0b0010_1100),
+                (1, 0b0010_1100),
+                (1, 0b1000_1100),
+                (1, 0b1000_0000),
+                (2, 0b0100_0000),
+            ]
+            .as_slice()
+        );
+        d.clear_mutation_log();
+        assert!(d.mutation_log().is_empty());
     }
 
     #[test]

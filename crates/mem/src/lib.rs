@@ -51,7 +51,7 @@ pub mod mshr;
 pub mod prefetch;
 pub mod system;
 
-pub use checker::{InvariantKind, InvariantViolation};
+pub use checker::{CheckerWork, InvariantKind, InvariantViolation};
 pub use fault::{FaultConfig, FaultCounts};
 pub use line::{CoherenceState, RfoOrigin};
 pub use system::{MemoryConfig, MemorySystem};

@@ -14,7 +14,9 @@
 
 use crate::blockmap::BlockMap;
 use crate::cache::{CacheArray, CacheGeometry, Eviction};
-use crate::checker::{CoherenceKind, Event, EventLog, InvariantKind, InvariantViolation};
+use crate::checker::{
+    CheckerWork, CoherenceKind, Event, EventLog, InvariantKind, InvariantViolation,
+};
 use crate::directory::{DirEntry, Directory};
 use crate::dram::{DramConfig, DramPort};
 use crate::fault::{FaultConfig, FaultPlan};
@@ -346,8 +348,12 @@ pub struct MemorySystem {
     /// here, and blocks whose fill is still in flight at a checking
     /// boundary stay queued until they stabilise. Insertion-ordered.
     checker_pending: Vec<u64>,
-    /// Membership set for `checker_pending` (dedup on enqueue).
-    checker_pending_set: BlockMap<u8>,
+    /// Membership set for `checker_pending` (dedup on enqueue), mapping
+    /// each pending block to the mask of cores to re-verify it on.
+    checker_pending_set: BlockMap<u16>,
+    /// What the incremental checker has done so far; survives
+    /// [`MemorySystem::reset_stats`].
+    checker_work: CheckerWork,
     /// Next invariant-checker boundary, maintained by [`MemorySystem::tick`]
     /// so [`MemorySystem::wake_at`] is a plain field read (`u64::MAX`
     /// when the checker is disabled).
@@ -428,6 +434,7 @@ impl MemorySystem {
             pending_violation: None,
             checker_pending: Vec::new(),
             checker_pending_set: BlockMap::new(),
+            checker_work: CheckerWork::default(),
             next_check_at: if config.checker_interval > 0 {
                 0
             } else {
@@ -547,8 +554,15 @@ impl MemorySystem {
         &self.burst_lengths
     }
 
+    /// Work counters of the incremental coherence checker, warm-up
+    /// included ([`MemorySystem::reset_stats`] leaves them alone).
+    pub fn checker_work(&self) -> CheckerWork {
+        self.checker_work
+    }
+
     /// Clears all counters (end of warm-up) without touching cache or
-    /// timing state.
+    /// timing state. The checker's work counters are not simulated
+    /// counters and keep running.
     pub fn reset_stats(&mut self) {
         self.burst_lengths.reset();
         self.stats = MemStats::default();
@@ -654,7 +668,12 @@ impl MemorySystem {
     /// passed — same `(block, state, ready)`, same directory entry —
     /// would pass again, so skipping it loses nothing, and a sweep over
     /// tens of thousands of valid lines becomes a walk over the tens of
-    /// blocks that actually changed. `check_invariants_thorough` keeps
+    /// blocks that actually changed. Each pending block carries a mask
+    /// of the cores to re-verify it on: the core whose L1/L2 logged it,
+    /// and the cores its old and new directory entries name. A core
+    /// outside the mask cannot fail: its line was absent (and still is),
+    /// stable and named by the unchanged entry, or in flight (and then
+    /// carried forward in the mask). `check_invariants_thorough` keeps
     /// the full sweep and cross-audits this bookkeeping once per run,
     /// and a disabled checker (`checker_interval == 0`, logs off) falls
     /// back to the full sweep too.
@@ -818,26 +837,27 @@ impl MemorySystem {
     }
 
     /// Incremental check 3: drains the cache/directory mutation logs into
-    /// the pending queue, then re-verifies exactly those blocks. Blocks
-    /// with a line still in flight stay queued for the next boundary.
+    /// the pending set, then re-verifies exactly those blocks on exactly
+    /// the cores each one's mask names (DESIGN.md §6). A block whose line
+    /// is still in flight on some cores stays queued for the next
+    /// boundary, masked down to those cores.
     fn check_mutated_lines(&mut self, now: u64) -> Result<(), InvariantViolation> {
         {
             let pending = &mut self.checker_pending;
             let member = &mut self.checker_pending_set;
-            let mut add = |b: u64| {
-                if member.insert(b, 0).is_none() {
+            let mut add = |b: u64, cores: u16| match member.get_mut(b) {
+                Some(m) => *m |= cores,
+                None => {
+                    member.insert(b, cores);
                     pending.push(b);
                 }
             };
-            for &b in self.directory.mutation_log() {
-                add(b);
+            for &(b, cores) in self.directory.mutation_log() {
+                add(b, cores);
             }
-            for c in &self.cores {
-                for &b in c.l1.mutation_log() {
-                    add(b);
-                }
-                for &b in c.l2.mutation_log() {
-                    add(b);
+            for (ci, c) in self.cores.iter().enumerate() {
+                for &b in c.l1.mutation_log().iter().chain(c.l2.mutation_log()) {
+                    add(b, 1 << ci);
                 }
             }
         }
@@ -846,23 +866,30 @@ impl MemorySystem {
             c.l1.clear_mutation_log();
             c.l2.clear_mutation_log();
         }
+        self.checker_work.passes += 1;
+        self.checker_work.blocks += self.checker_pending.len() as u64;
         let mut kept = 0;
         for i in 0..self.checker_pending.len() {
             let block = self.checker_pending[i];
-            let mut transient = false;
-            for ci in 0..self.cores.len() {
+            let mut cores = self.checker_pending_set.get(block).copied().unwrap_or(0);
+            let mut transient = 0u16;
+            while cores != 0 {
+                let ci = cores.trailing_zeros() as usize;
+                cores &= cores - 1;
+                self.checker_work.line_probes += 2;
                 let c = &self.cores[ci];
                 for line in [c.l1.peek(block), c.l2.peek(block)].into_iter().flatten() {
                     if line.ready > now {
-                        transient = true;
+                        transient |= 1 << ci;
                         continue;
                     }
                     self.line_agrees(ci, block, line.state, now)?;
                 }
             }
-            if transient {
+            if transient != 0 {
                 self.checker_pending[kept] = block;
                 kept += 1;
+                self.checker_pending_set.insert(block, transient);
             } else {
                 self.checker_pending_set.remove(block);
             }
@@ -873,9 +900,14 @@ impl MemorySystem {
 
     /// Full-sweep check 3 over every valid private line — the reference
     /// the incremental check is audited against (`check_invariants_thorough`
-    /// runs it once per run), and the fallback when mutation logging is
-    /// off.
-    fn check_lines_full(&self, now: u64) -> Result<(), InvariantViolation> {
+    /// runs it once per run, the `spb-verify` fuzzer every few steps),
+    /// and the fallback when mutation logging is off. Read-only.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first disagreeing line, in sweep order.
+    #[doc(hidden)]
+    pub fn check_lines_full(&self, now: u64) -> Result<(), InvariantViolation> {
         for (i, c) in self.cores.iter().enumerate() {
             // The sweep's directory probes are independent random reads
             // of a large table; issued one per loop iteration they each
@@ -2214,8 +2246,12 @@ mod tests {
     fn reset_stats_clears_counters_but_keeps_cache_contents() {
         let mut m = single_core();
         let r = m.load(0, 0xB0000, 0);
+        m.check_invariants(r.ready).unwrap();
+        let work = m.checker_work();
+        assert_eq!((work.passes, work.blocks, work.line_probes), (1, 1, 2));
         m.reset_stats();
         assert_eq!(m.stats().loads, 0);
+        assert_eq!(m.checker_work(), work, "checker work spans warm-up");
         let r2 = m.load(0, 0xB0000, r.ready + 1);
         assert!(r2.l1_hit, "warm line survives the stats reset");
     }
@@ -2287,6 +2323,61 @@ mod tests {
             !err.history.is_empty(),
             "violation carries the block's event history"
         );
+    }
+
+    #[test]
+    fn core_mask_reaches_an_owner_only_the_directory_names() {
+        let cfg = MemoryConfig {
+            cores: 8,
+            ..Default::default()
+        };
+        let mut m = MemorySystem::new(cfg);
+        let StoreDrainOutcome::Retry { at } = m.store_drain(5, 0x4000, 0) else {
+            panic!("expected retry");
+        };
+        let block = 0x4000 / 64;
+        m.check_invariants(at + 1).unwrap();
+        assert!(m.checker_pending.is_empty(), "the stable line was verified");
+        // The directory forgets core 5; core 5's caches stay untouched,
+        // so only the old directory entry can name core 5.
+        assert_eq!(m.seed_lost_owner_mutation(at + 1), Some(block));
+        assert_eq!(m.directory.mutation_log(), [(block, 1 << 5)].as_slice());
+        assert!(m
+            .cores
+            .iter()
+            .all(|c| c.l1.mutation_log().is_empty() && c.l2.mutation_log().is_empty()));
+        let before = m.checker_work();
+        let err = m.check_invariants(at + 2).unwrap_err();
+        assert_eq!(err.kind, InvariantKind::SingleWriter);
+        assert_eq!(err.block, Some(block));
+        assert_eq!(err.core, Some(5));
+        assert_eq!(m.checker_work().blocks - before.blocks, 1);
+        assert_eq!(m.checker_work().line_probes - before.line_probes, 2);
+    }
+
+    #[test]
+    fn in_flight_line_keeps_only_its_core_pending() {
+        let cfg = MemoryConfig {
+            cores: 8,
+            ..Default::default()
+        };
+        let mut m = MemorySystem::new(cfg);
+        let r = m.load(3, 0x8000, 0);
+        let block = 0x8000 / 64;
+        m.check_invariants(1).unwrap();
+        assert_eq!(m.checker_pending, [block]);
+        assert_eq!(m.checker_pending_set.get(block), Some(&(1 << 3)));
+        // Corrupt the directory behind the logs' back: only the carried
+        // mask can bring core 3 back for verification.
+        m.directory.evicted(3, block);
+        m.directory.clear_mutation_log();
+        m.check_invariants(r.ready - 1).unwrap();
+        assert_eq!(m.checker_pending, [block], "still in flight");
+        let before = m.checker_work();
+        let err = m.check_invariants(r.ready).unwrap_err();
+        assert_eq!(err.kind, InvariantKind::SingleWriter);
+        assert_eq!(err.core, Some(3));
+        assert_eq!(m.checker_work().line_probes - before.line_probes, 2);
     }
 
     #[test]

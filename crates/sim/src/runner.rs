@@ -68,6 +68,9 @@ impl CoreWindow {
 /// on whether an observer is attached (an observer adds memory-system
 /// wakeups), so unlike the simulated counters they are not part of any
 /// cross-kernel equality and never reach a [`crate::sweep::SweepReport`].
+/// The exception is the `checker_*` group: the coherence checker runs at
+/// the same cycles under every kernel, so those three counts are equal
+/// under tick and wheel.
 /// Closure: `cycles_executed + cycles_skipped` is every cycle the run
 /// simulated, warm-up included.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -85,6 +88,12 @@ pub struct KernelStats {
     pub busy_probes: u64,
     /// Calls to `MemorySystem::tick`.
     pub mem_ticks: u64,
+    /// Incremental coherence-checker passes.
+    pub checker_passes: u64,
+    /// Pending blocks the checker re-verified.
+    pub checker_blocks: u64,
+    /// Private-cache peeks the checker made re-verifying them.
+    pub checker_line_probes: u64,
 }
 
 /// Everything measured in one run.
@@ -593,11 +602,39 @@ mod tests {
         );
         assert!(wheel.jumps > 0 && wheel.cycles_skipped > wheel.cycles_executed);
         assert_eq!(wheel.probes, wheel.jumps + wheel.busy_probes);
+        assert!(tick.checker_passes > 0);
+        assert_eq!(checker_work(&tick), checker_work(&wheel));
+    }
+
+    /// The checker's three work counters, which every kernel must share.
+    fn checker_work(k: &KernelStats) -> (u64, u64, u64) {
+        (k.checker_passes, k.checker_blocks, k.checker_line_probes)
+    }
+
+    /// The incremental checker's work on an 8-core cell, pinned. The
+    /// passes and blocks were recorded on the checker that peeked every
+    /// block in all 8 cores' L1 and L2 (`ALL_CORES_PROBES`, 16 per
+    /// block). Re-verifying only the cores a mutation can reach keeps
+    /// the same passes over the same blocks and probes far fewer lines.
+    #[test]
+    fn eight_core_checker_work_is_pinned() {
+        const ALL_CORES_PROBES: u64 = 642_352;
+        let app = AppProfile::by_name("canneal").unwrap();
+        let mut cfg = SimConfig::quick();
+        cfg.warmup_uops = 2_000;
+        cfg.measure_uops = 10_000;
+        let k = Simulation::with_config(&app, &cfg).run_or_panic().kernel;
+        assert_eq!((k.checker_passes, k.checker_blocks), (76, 40_147));
+        assert_eq!(ALL_CORES_PROBES, 16 * k.checker_blocks);
+        assert_eq!(k.checker_line_probes, 80_294);
+        assert!(k.checker_line_probes < ALL_CORES_PROBES);
     }
 
     /// mcf's skip-ahead work, pinned. These counts were recorded on the
     /// 256-slot timing wheel the flat [`WakeTable`] replaced: the swap
-    /// changed what a jump costs, not how many jumps there are.
+    /// changed what a jump costs, not how many jumps there are. On one
+    /// core every checker mask is that core, so the checker probes two
+    /// lines per block.
     #[test]
     fn mcf_kernel_stats_are_pinned() {
         let app = AppProfile::by_name("mcf").unwrap();
@@ -611,6 +648,9 @@ mod tests {
                 probes: 63_494,
                 busy_probes: 4_932,
                 mem_ticks: 397,
+                checker_passes: 397,
+                checker_blocks: 127_445,
+                checker_line_probes: 254_890,
             }
         );
         let k = r.metrics.get("kernel").expect("kernel metrics registered");
@@ -637,6 +677,7 @@ mod tests {
         assert_eq!(tick.cpu, wheel.cpu);
         assert_eq!(tick.mem, wheel.mem);
         assert_eq!(tick.per_core, wheel.per_core);
+        assert_eq!(checker_work(&tick.kernel), checker_work(&wheel.kernel));
     }
 
     /// A squash model at rate 0 must be indistinguishable — bit for

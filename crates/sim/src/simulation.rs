@@ -221,6 +221,10 @@ impl Simulation {
             mem.check_invariants_thorough(now).map_err(fail)?;
         }
         mem.finalize_stats();
+        let work = mem.checker_work();
+        kernel.checker_passes = work.passes;
+        kernel.checker_blocks = work.blocks;
+        kernel.checker_line_probes = work.line_probes;
         let measure_ms = wall_start.elapsed().as_secs_f64() * 1000.0 - warmup_ms;
 
         let cycles = now - measure_start;
@@ -335,7 +339,10 @@ fn build_metrics(
         .counter("jumps", k.jumps)
         .counter("probes", k.probes)
         .counter("busy_probes", k.busy_probes)
-        .counter("mem_ticks", k.mem_ticks);
+        .counter("mem_ticks", k.mem_ticks)
+        .counter("checker_passes", k.checker_passes)
+        .counter("checker_blocks", k.checker_blocks)
+        .counter("checker_line_probes", k.checker_line_probes);
     reg.component("sb").histogram(&r.sb_residency);
     reg.component("spb").histogram(&r.burst_lengths);
     // Registered only when the squash model actually fired, so runs

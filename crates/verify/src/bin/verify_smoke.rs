@@ -7,11 +7,13 @@
 //! then 32 fuzzing seeds with the invariant checker after every step;
 //! then a *negative* control — a schedule with the test-only
 //! "lost directory owner" mutation armed must be caught and minimized,
-//! proving the checker can actually fail.
+//! proving the checker can actually fail; then 16 clean seeds and the
+//! same negative control on 8 cores.
 //!
 //! `--full` runs the acceptance budget instead: every application in
 //! the catalog (both suites) under all three policies at both SB
-//! points, and 256 fuzzing seeds (a third of them fault-injected).
+//! points, and 256 fuzzing seeds (a third of them fault-injected) plus
+//! 64 on 8 cores.
 //! Any mismatch, violation, or missed mutation exits non-zero with the
 //! offending diagnostic and a replay command.
 
@@ -19,6 +21,30 @@ use spb_sim::config::PolicyKind;
 use spb_sim::SimConfig;
 use spb_trace::profile::{AppCatalog, AppProfile};
 use spb_verify::{check_app, minimize, run_one, run_seeds, FuzzConfig};
+
+/// Runs a schedule with the lost-owner mutation armed, which MUST be
+/// caught; prints the catch under `label` and returns the failure count.
+fn lost_owner_control(label: &str, cfg: &FuzzConfig) -> usize {
+    match run_one(cfg) {
+        Err(f) => {
+            let m = minimize(&f);
+            println!(
+                "{label}: lost-owner bug caught at step {} ({}), minimized to {} steps",
+                f.step,
+                f.violation.split('\n').next().unwrap_or(""),
+                m.minimized_steps.unwrap_or(f.step + 1)
+            );
+            0
+        }
+        Ok(_) => {
+            eprintln!(
+                "FAILED {label}: the seeded lost-owner mutation was NOT detected — \
+                 the invariant checker is blind"
+            );
+            1
+        }
+    }
+}
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
@@ -124,24 +150,34 @@ fn main() {
         mutate_at: Some(64),
         ..FuzzConfig::default()
     };
-    match run_one(&mutated) {
+    failures += lost_owner_control("mutation control", &mutated);
+
+    // The fuzzer defaults to 4 cores; at 8 the checker's per-block core
+    // masks carry up to 8 bits. Clean seeds, then the same negative
+    // control.
+    let eight = FuzzConfig {
+        seed: 70_001,
+        cores: 8,
+        ..base
+    };
+    let eight_seeds = if full { 64 } else { 16 };
+    match run_seeds(&eight, eight_seeds) {
+        Ok(s) => println!(
+            "fuzz: {eight_seeds} clean 8-core seeds, {} steps, {} loads / {} drains, 0 violations",
+            s.steps, s.loads, s.drains
+        ),
         Err(f) => {
-            let m = minimize(&f);
-            println!(
-                "mutation control: lost-owner bug caught at step {} ({}), minimized to {} steps",
-                f.step,
-                f.violation.split('\n').next().unwrap_or(""),
-                m.minimized_steps.unwrap_or(f.step + 1)
-            );
-        }
-        Ok(_) => {
             failures += 1;
-            eprintln!(
-                "FAILED mutation control: the seeded lost-owner mutation was NOT detected — \
-                 the invariant checker is blind"
-            );
+            eprintln!("FAILED fuzz (8 cores): {f}");
         }
     }
+    failures += lost_owner_control(
+        "mutation control (8 cores)",
+        &FuzzConfig {
+            cores: 8,
+            ..mutated
+        },
+    );
 
     if failures > 0 {
         eprintln!("verify smoke: {failures} check(s) failed");

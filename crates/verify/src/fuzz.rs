@@ -30,7 +30,9 @@
 //! step, [`minimize`] shrinks the schedule to (near-)minimal length,
 //! and `spbsim verify fuzz --seed N --steps M` replays it exactly.
 
-use spb_mem::{FaultConfig, MemoryConfig, MemorySystem, RfoOrigin};
+use spb_mem::{
+    FaultConfig, InvariantKind, InvariantViolation, MemoryConfig, MemorySystem, RfoOrigin,
+};
 use spb_sim::scheduler::WakeTable;
 use std::fmt;
 
@@ -227,6 +229,19 @@ impl Rng {
 ///
 /// Panics if `config.cores` is zero.
 pub fn run_one(config: &FuzzConfig) -> Result<FuzzStats, Box<FuzzFailure>> {
+    run_schedule(config, None)
+}
+
+/// [`run_one`], optionally with a differential audit of the incremental
+/// line check: with `audit_every = Some(n)`, at every `n`-th step, and at
+/// any step whose check reports a line/directory disagreement, the
+/// verdict of [`MemorySystem::check_invariants`] must match a full sweep
+/// over every private line, or the schedule fails. A full sweep walks
+/// every L1 and L2 line, which is why it does not run after every step.
+fn run_schedule(
+    config: &FuzzConfig,
+    audit_every: Option<u32>,
+) -> Result<FuzzStats, Box<FuzzFailure>> {
     assert!(config.cores > 0, "fuzzing needs at least one core");
     let mem_cfg = MemoryConfig {
         cores: config.cores,
@@ -369,7 +384,30 @@ pub fn run_one(config: &FuzzConfig) -> Result<FuzzStats, Box<FuzzFailure>> {
             }
         }
         stats.steps += 1;
-        if let Err(v) = mem.check_invariants(now) {
+        let verdict = mem.check_invariants(now);
+        if let Some(every) = audit_every {
+            let compare = match &verdict {
+                Ok(()) => step % every == 0,
+                Err(v) => matches!(
+                    v.kind,
+                    InvariantKind::SingleWriter | InvariantKind::DirectoryAgreement
+                ),
+            };
+            if compare {
+                let full = mem.check_lines_full(now);
+                if verdict.is_ok() != full.is_ok() {
+                    let show = |r: &Result<(), InvariantViolation>| {
+                        r.as_ref().err().map_or("clean".into(), ToString::to_string)
+                    };
+                    return Err(fail(format!(
+                        "incremental check ({}) disagrees with the full sweep ({})",
+                        show(&verdict),
+                        show(&full)
+                    )));
+                }
+            }
+        }
+        if let Err(v) = verdict {
             return Err(fail(v.to_string()));
         }
         if let Some(v) = mem.take_violation() {
@@ -571,6 +609,39 @@ mod tests {
         assert_eq!(replay.step, failure.step);
         let minimized = minimize(&failure);
         assert!(minimized.minimized_steps.expect("minimization ran") <= failure.step + 1);
+    }
+
+    #[test]
+    fn incremental_verdicts_match_the_full_sweep_on_eight_cores() {
+        // 32 clean schedules plus 8 with the lost-owner mutation armed,
+        // all on 8 cores: the core-masked incremental check must agree
+        // with a sweep over every private line, clean or not.
+        let base = FuzzConfig {
+            seed: 50_000,
+            steps: 768,
+            cores: 8,
+            ..FuzzConfig::default()
+        };
+        for i in 0..32 {
+            let cfg = FuzzConfig {
+                seed: base.seed + i,
+                ..base
+            };
+            run_schedule(&cfg, Some(32)).expect("clean 8-core schedule");
+        }
+        for i in 0..8 {
+            let cfg = FuzzConfig {
+                seed: base.seed + 100 + i,
+                mutate_at: Some(128),
+                ..base
+            };
+            let f = run_schedule(&cfg, Some(32)).expect_err("a lost owner must trip the checker");
+            assert!(
+                f.violation.contains("single-writer") && !f.violation.contains("disagrees"),
+                "caught by the incremental check, in agreement with the sweep: {}",
+                f.violation
+            );
+        }
     }
 
     #[test]
