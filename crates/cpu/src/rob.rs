@@ -1,12 +1,14 @@
-//! Struct-of-arrays rings for the two FIFO structures on the commit
-//! path: the reorder buffer and the post-commit store buffer.
+//! The core's bounded per-µop structures: struct-of-arrays rings for
+//! the two FIFOs on the commit path (the reorder buffer and the
+//! post-commit store buffer) and the issue queue's occupancy tracker.
 //!
-//! Both are bounded by configuration (dispatch gates on ROB occupancy;
-//! a store cannot commit into the SB without holding one of the
-//! `sb_entries` slots it acquired at dispatch), so each ring is a set
-//! of fixed-capacity parallel lanes indexed by `(head + i) % cap`.
-//! The hot loops touch one lane each — commit and the skip-ahead probe
-//! poll only `complete_at`, coalescing polls only the tail address —
+//! Both rings are bounded by configuration (dispatch gates on ROB
+//! occupancy; a store cannot commit into the SB without holding one of
+//! the `sb_entries` slots it acquired at dispatch), so each ring is a
+//! set of fixed-capacity parallel lanes. A slot index wraps by one
+//! compare-and-subtract, with no division on the per-µop path. The hot
+//! loops touch one lane each — commit and the skip-ahead probe poll
+//! only `complete_at`, coalescing polls only the tail address —
 //! instead of striding over whole entries.
 
 /// One in-flight µop as the rest of the core sees it. Exchange type:
@@ -21,6 +23,17 @@ pub(crate) struct RobEntry {
     pub is_store: bool,
     pub is_load: bool,
     pub is_branch: bool,
+}
+
+/// `i` wrapped into `0..cap`, for any `i < 2 * cap` (a slot index
+/// `head + k` with `head < cap` and `k <= cap`).
+#[inline]
+fn wrap(i: usize, cap: usize) -> usize {
+    if i >= cap {
+        i - cap
+    } else {
+        i
+    }
 }
 
 const STORE: u8 = 1;
@@ -72,7 +85,7 @@ impl RobRing {
 
     pub fn push_back(&mut self, e: RobEntry) {
         assert!(self.len < self.cap, "ROB overflow: dispatch gate broken");
-        let i = (self.head + self.len) % self.cap;
+        let i = wrap(self.head + self.len, self.cap);
         self.complete_at[i] = e.complete_at;
         self.addr[i] = e.addr;
         self.pc[i] = e.pc;
@@ -88,7 +101,7 @@ impl RobRing {
             return None;
         }
         let i = self.head;
-        self.head = (self.head + 1) % self.cap;
+        self.head = wrap(self.head + 1, self.cap);
         self.len -= 1;
         let kind = self.kind[i];
         Some(RobEntry {
@@ -159,12 +172,12 @@ impl SbRing {
     /// Address of the youngest SB entry (coalescing candidate).
     #[inline]
     pub fn back_addr(&self) -> Option<u64> {
-        (self.len > 0).then(|| self.addr[(self.head + self.len - 1) % self.cap])
+        (self.len > 0).then(|| self.addr[wrap(self.head + self.len - 1, self.cap)])
     }
 
     pub fn push_back(&mut self, addr: u64, pc: u64, committed_at: u64) {
         assert!(self.len < self.cap, "SB overflow: dispatch gate broken");
-        let i = (self.head + self.len) % self.cap;
+        let i = wrap(self.head + self.len, self.cap);
         self.addr[i] = addr;
         self.pc[i] = pc;
         self.committed_at[i] = committed_at;
@@ -173,14 +186,80 @@ impl SbRing {
 
     pub fn pop_front(&mut self) {
         debug_assert!(self.len > 0);
-        self.head = (self.head + 1) % self.cap;
+        self.head = wrap(self.head + 1, self.cap);
         self.len -= 1;
+    }
+}
+
+/// The issue queue's occupancy: the future issue cycles of dispatched
+/// µops that have not issued yet. Only the count of live entries
+/// (issue cycle `> now`) and the earliest of them matter; which entry
+/// issues when is already fixed at dispatch.
+///
+/// Entries sit unordered in a flat vector. `reclaim_at` is exactly the
+/// minimum entry (`u64::MAX` when empty): a push lowers it, and only a
+/// reclaim pass removes entries, recomputing it in the same pass. So
+/// while `now < reclaim_at` every entry is live and `len` is the exact
+/// live count, and [`IssueQueue::is_full`] reclaims only when a full
+/// queue may hold issued entries. A queue that stays full and drains
+/// one entry at a time pays one pass per issued entry, not one per
+/// occupancy check.
+#[derive(Debug)]
+pub(crate) struct IssueQueue {
+    cap: usize,
+    issue_at: Vec<u64>,
+    reclaim_at: u64,
+}
+
+impl IssueQueue {
+    pub fn new(cap: usize) -> Self {
+        Self {
+            cap,
+            issue_at: Vec::with_capacity(cap),
+            reclaim_at: u64::MAX,
+        }
+    }
+
+    /// Enters a µop that issues at cycle `t`.
+    #[inline]
+    pub fn push(&mut self, t: u64) {
+        self.issue_at.push(t);
+        self.reclaim_at = self.reclaim_at.min(t);
+    }
+
+    /// Whether all `cap` entries hold µops not yet issued at `now`.
+    /// Drops the issued ones first if the answer depends on them.
+    #[inline]
+    pub fn is_full(&mut self, now: u64) -> bool {
+        if self.issue_at.len() >= self.cap && now >= self.reclaim_at {
+            let mut min = u64::MAX;
+            self.issue_at.retain(|&t| {
+                let live = t > now;
+                if live {
+                    min = min.min(t);
+                }
+                live
+            });
+            self.reclaim_at = min;
+        }
+        self.issue_at.len() >= self.cap
+    }
+
+    /// The earliest cycle an entry issues, if any. After
+    /// [`IssueQueue::is_full`] returned true at `now`, this is the
+    /// first cycle the verdict can change, and it is `> now`.
+    #[inline]
+    pub fn next_issue(&self) -> Option<u64> {
+        (!self.issue_at.is_empty()).then_some(self.reclaim_at)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn entry(complete_at: u64, kind: u8) -> RobEntry {
         RobEntry {
@@ -249,5 +328,68 @@ mod tests {
         s.pop_front();
         s.pop_front();
         assert_eq!(s.front(), Some((256, 0x40c, 13)));
+    }
+
+    /// The tail lane must follow the ring across its wrap point at the
+    /// SB sizes the paper studies, including when the youngest entry
+    /// sits in the last slot and the oldest in the first.
+    #[test]
+    fn sb_ring_back_addr_follows_the_wrap() {
+        for cap in [14, 56] {
+            let mut s = SbRing::new(cap);
+            let mut model = std::collections::VecDeque::new();
+            for k in 0..5 * cap as u64 {
+                // Alternate phases: fill to capacity, then drain while
+                // refilling on every third step.
+                if model.len() < cap && (k / cap as u64) % 2 == 0 {
+                    s.push_back(k * 64, 0x400 + k, k);
+                    model.push_back(k * 64);
+                } else if !model.is_empty() {
+                    s.pop_front();
+                    model.pop_front();
+                    if k % 3 == 0 && model.len() < cap {
+                        s.push_back(k * 64, 0x400 + k, k);
+                        model.push_back(k * 64);
+                    }
+                }
+                assert_eq!(s.len(), model.len());
+                assert_eq!(s.back_addr(), model.back().copied(), "cap {cap} step {k}");
+                assert_eq!(s.front().map(|f| f.0), model.front().copied());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Dispatch's view of the IQ — the full/not-full verdict and,
+        /// when full, the wake time — matches a min-heap that reclaims
+        /// every issued entry eagerly, at every step. Issue times are
+        /// `> now + 1` (as `issue_op` enters them); `now` moves by zero
+        /// or one cycle, or jumps ahead as skip-ahead does.
+        #[test]
+        fn issue_queue_matches_an_eager_heap(
+            cap in 1usize..24,
+            steps in collection::vec((0u64..8, 0u64..40), 1..600),
+        ) {
+            let mut iq = IssueQueue::new(cap);
+            let mut heap = BinaryHeap::new();
+            let mut now = 0u64;
+            for (dt, delay) in steps {
+                now += if dt == 7 { delay * 7 } else { dt.min(1) };
+                while heap.peek().is_some_and(|&Reverse(t)| t <= now) {
+                    heap.pop();
+                }
+                let full = heap.len() >= cap;
+                prop_assert_eq!(iq.is_full(now), full);
+                if full {
+                    prop_assert_eq!(iq.next_issue(), heap.peek().map(|&Reverse(t)| t));
+                } else if delay % 4 != 0 {
+                    let t = now + 2 + delay;
+                    iq.push(t);
+                    heap.push(Reverse(t));
+                }
+            }
+        }
     }
 }

@@ -94,6 +94,10 @@ pub struct Eviction {
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     geometry: CacheGeometry,
+    /// `sets - 1` when the set count is a power of two (every shipped
+    /// geometry), so a set index is one mask instead of a division.
+    set_mask: Option<u64>,
+    sets: u64,
     tag: Vec<u64>,
     state: Vec<CoherenceState>,
     ready: Vec<u64>,
@@ -189,8 +193,11 @@ impl CacheArray {
     /// Creates an empty (all-invalid) cache with the given geometry.
     pub fn new(geometry: CacheGeometry) -> Self {
         let n = geometry.lines();
+        let sets = geometry.sets() as u64;
         Self {
             geometry,
+            set_mask: sets.is_power_of_two().then(|| sets - 1),
+            sets,
             tag: vec![NO_TAG; n],
             state: vec![CoherenceState::Invalid; n],
             ready: vec![0; n],
@@ -250,8 +257,15 @@ impl CacheArray {
         self.tag_checks = 0;
     }
 
+    /// The first lane of the set `block` maps into: the lane form of
+    /// [`CacheGeometry::set_of`].
+    #[inline]
     fn set_start(&self, block: u64) -> usize {
-        self.geometry.set_of(block) * self.geometry.ways
+        let set = match self.set_mask {
+            Some(mask) => block & mask,
+            None => block % self.sets,
+        };
+        set as usize * self.geometry.ways
     }
 
     /// The lane index holding `block`, if present and valid.
@@ -435,6 +449,41 @@ mod tests {
         assert_eq!(g.lines(), 512);
         assert_eq!(g.set_of(64), 0);
         assert_eq!(g.set_of(65), 1);
+    }
+
+    /// The array's set index agrees with [`CacheGeometry::set_of`]
+    /// whether it masks (power-of-two set count) or divides.
+    #[test]
+    fn set_index_matches_geometry_with_and_without_mask() {
+        for (size, ways, sets) in [(32 * 1024, 8, 64), (19_200, 3, 100)] {
+            let g = CacheGeometry::new(size, ways);
+            assert_eq!(g.sets(), sets);
+            let c = CacheArray::new(g);
+            assert_eq!(c.set_mask.is_some(), sets.is_power_of_two());
+            for block in (0..5_000).chain([u64::MAX - 1, 1 << 40]) {
+                assert_eq!(c.set_start(block), g.set_of(block) * ways);
+            }
+        }
+    }
+
+    /// A 100-set, 3-way cache: blocks 100 apart share a set and evict
+    /// each other; block 64, which a 64-set mask would fold onto set 0,
+    /// lives in its own set.
+    #[test]
+    fn non_power_of_two_sets_insert_and_lookup() {
+        let mut c = CacheArray::new(CacheGeometry::new(19_200, 3));
+        for b in [0, 100, 200] {
+            assert_eq!(c.insert(b, CoherenceState::Exclusive, 0, None), None);
+        }
+        assert_eq!(c.insert(64, CoherenceState::Shared, 0, None), None);
+        for b in [0, 64, 100, 200] {
+            assert!(c.lookup(b).is_some(), "block {b}");
+        }
+        let ev = c.insert(300, CoherenceState::Modified, 0, None).unwrap();
+        assert_eq!(ev.block, 0, "set 0's least recently used way goes");
+        assert!(c.lookup(0).is_none());
+        assert_eq!(c.lookup(300).unwrap().state(), CoherenceState::Modified);
+        assert!(c.lookup(64).is_some());
     }
 
     #[test]

@@ -434,6 +434,7 @@ mod tests {
     use super::*;
     use crate::config::{PolicyKind, SimConfig};
     use crate::simulation::Simulation;
+    use spb_stats::StallCause;
     use spb_trace::profile::AppProfile;
 
     #[test]
@@ -624,10 +625,52 @@ mod tests {
         cfg.warmup_uops = 2_000;
         cfg.measure_uops = 10_000;
         let k = Simulation::with_config(&app, &cfg).run_or_panic().kernel;
-        assert_eq!((k.checker_passes, k.checker_blocks), (76, 40_147));
+        assert_eq!(
+            k,
+            KernelStats {
+                cycles_executed: 46_058,
+                cycles_skipped: 1_196_681,
+                jumps: 9_364,
+                probes: 10_239,
+                busy_probes: 875,
+                mem_ticks: 76,
+                checker_passes: 76,
+                checker_blocks: 40_147,
+                checker_line_probes: 80_294,
+            }
+        );
         assert_eq!(ALL_CORES_PROBES, 16 * k.checker_blocks);
-        assert_eq!(k.checker_line_probes, 80_294);
         assert!(k.checker_line_probes < ALL_CORES_PROBES);
+    }
+
+    /// A `spec_dense` cell's skip-ahead work, pinned. deepsjeng's
+    /// dispatch stalls on a full issue queue for a fifth of its cycles,
+    /// and most of those cycles are skipped: the kernel jumps to the
+    /// IQ's wake time, so a wake that came earlier or later would
+    /// change the jump and probe counts.
+    #[test]
+    fn iq_bound_kernel_stats_are_pinned() {
+        let app = AppProfile::by_name("deepsjeng").unwrap();
+        let cfg = SimConfig::quick()
+            .with_sb(14)
+            .with_policy(PolicyKind::spb_default());
+        let r = Simulation::with_config(&app, &cfg).run_or_panic();
+        assert_eq!((r.cycles, r.uops), (249_293, 300_002));
+        assert_eq!(r.topdown.stall_cycles(StallCause::IssueQueue), 54_443);
+        assert_eq!(
+            r.kernel,
+            KernelStats {
+                cycles_executed: 104_812,
+                cycles_skipped: 156_614,
+                jumps: 3_636,
+                probes: 6_171,
+                busy_probes: 2_535,
+                mem_ticks: 143,
+                checker_passes: 16,
+                checker_blocks: 3_235,
+                checker_line_probes: 6_470,
+            }
+        );
     }
 
     /// mcf's skip-ahead work, pinned. These counts were recorded on the

@@ -421,13 +421,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy the whole UTF-8 character, not just one byte.
+                    // Copy the run up to the next delimiter in one go.
+                    // Both delimiters are ASCII, so the run ends on a
+                    // char boundary of the `&str` input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    let n = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..n])
                         .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += n;
                 }
             }
         }
@@ -517,6 +522,40 @@ mod tests {
         let text = v.to_string();
         assert_eq!(Json::parse(&text).unwrap(), v);
         assert_eq!(Json::parse(r#""Aé""#).unwrap(), Json::str("Aé"));
+    }
+
+    /// Plain runs are copied whole up to the next delimiter, so
+    /// multibyte characters on either side of an escape must survive.
+    #[test]
+    fn strings_mix_multibyte_runs_and_escapes() {
+        let parsed = Json::parse(r#""é\"—\\ü\n\u00e9x\tß""#).unwrap();
+        assert_eq!(parsed, Json::str("é\"—\\ü\néx\tß"));
+        assert_eq!(Json::parse(r#""\"é\"""#).unwrap(), Json::str("\"é\""));
+        assert_eq!(Json::parse(r#""""#).unwrap(), Json::str(""));
+        assert!(
+            Json::parse("\"é—ü").is_err(),
+            "unterminated after multibyte"
+        );
+    }
+
+    /// A document with thousands of strings (the shape of a sweep
+    /// report) parses back to the value it was written from.
+    #[test]
+    fn many_strings_round_trip() {
+        let doc = Json::Arr(
+            (0..3_000)
+                .map(|i| {
+                    Json::Obj(vec![
+                        (
+                            format!("k{i}"),
+                            Json::str(format!("app-{i} \"é\" — {}", i % 7)),
+                        ),
+                        ("path".into(), Json::str(format!("a\\b\nü{i}"))),
+                    ])
+                })
+                .collect(),
+        );
+        assert_eq!(Json::parse(&doc.to_string()).unwrap(), doc);
     }
 
     #[test]

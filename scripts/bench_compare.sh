@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Bench gate: the blocking perf-regression check CI runs on every PR.
 #
-#   scripts/bench_compare.sh                    gate against BENCH_PR10.json
+#   scripts/bench_compare.sh                    gate against BENCH_FASTPATH.json
 #   scripts/bench_compare.sh BENCH_OTHER.json   gate against another snapshot
 #
 # Takes a fresh wheel-kernel snapshot of the quick SPEC grid and runs
@@ -13,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-baseline="${1:-BENCH_PR10.json}"
+baseline="${1:-BENCH_FASTPATH.json}"
 
 run() {
   echo "==> $*"
