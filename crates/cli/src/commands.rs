@@ -3,7 +3,7 @@
 use crate::{find_app, CliError, ClientAction, Command, RunOpts, TuneCmd, VerifyCmd};
 use spb_sim::config::SimConfig;
 use spb_sim::suite::SuiteResult;
-use spb_sim::sweep::{run_cells_supervised, Supervision, SweepRecord, SweepReport};
+use spb_sim::sweep::{Supervision, SweepReport};
 use spb_stats::json::Json;
 use spb_stats::{chart, Table};
 use spb_trace::file::{record, TraceReader};
@@ -315,101 +315,65 @@ fn sweep(
     let profile = find_app(app)?;
     let name = format!("sweep-{app}");
 
-    // With --resume, reload the prior (possibly partial) report; its
-    // completed cells are reused verbatim and only the rest re-run.
-    let prior = if resume {
-        let path = std::path::Path::new("results").join(format!("{name}.json"));
-        match std::fs::read_to_string(&path) {
-            Ok(text) => Some(
-                SweepReport::parse(&text)
-                    .map_err(|e| CliError(format!("cannot resume from {}: {e}", path.display())))?,
-            ),
-            Err(e) => {
-                eprintln!(
-                    "note: no prior report at {} ({e}); running the full sweep",
-                    path.display()
-                );
-                None
-            }
-        }
-    } else {
-        None
-    };
-
     // Flatten the sb × policy grid into one cell list (SB-major, policy
     // minor) so the worker pool covers the whole sweep at once.
-    let grid: Vec<SimConfig> = sbs
+    let profile = &profile;
+    let cells: Vec<_> = sbs
         .iter()
         .flat_map(|&sb| {
             policies.iter().map(move |&policy| {
                 let mut cfg = opts.to_sim_config().with_sb(sb);
                 cfg.policy = policy;
-                cfg
+                (profile, cfg)
             })
         })
         .collect();
-    let todo: Vec<SimConfig> = grid
-        .iter()
-        .filter(|c| {
-            prior
-                .as_ref()
-                .is_none_or(|p| !p.has_record(app, &c.policy.label(), c.effective_sb()))
+    // Every computed cell lands in the result cache; with --resume the
+    // cached cells are served and only the missing or failed ones
+    // re-run. With --retry N, transiently failing cells (panics,
+    // deadline overruns) re-run up to N total attempts with
+    // deterministic backoff; invariant violations still fail fast.
+    let cache_dir = std::path::Path::new("results").join("cache");
+    let cache = spb_serve::ResultCache::open(&cache_dir)
+        .inspect_err(|e| {
+            eprintln!(
+                "warning: could not open the result cache {}: {e}; cells are not cached",
+                cache_dir.display()
+            );
         })
-        .cloned()
-        .collect();
-    if prior.is_some() {
-        eprintln!(
-            "resuming {name}: {} of {} cells already done",
-            grid.len() - todo.len(),
-            grid.len()
-        );
-    }
-    let cells: Vec<_> = todo.iter().map(|c| (&profile, c.clone())).collect();
-    // With --retry N, transiently failing cells (panics, deadline
-    // overruns) re-run up to N total attempts with deterministic
-    // backoff; invariant violations still fail fast. The attempt count
-    // lands in each failure record. retry == 1 is the old single-shot
-    // behavior.
-    let results: Vec<_> = run_cells_supervised(
+        .ok();
+    let (resolved, stats) = spb_serve::run_cached(
+        cache.as_ref(),
+        resume,
         &cells,
         &opts.sweep_options().progress(true),
         &Supervision::with_retries(retry),
-    )
-    .into_iter()
-    .map(|(outcome, _attempts)| outcome)
-    .collect();
-
-    // Merge reused and fresh cells back into grid order. `todo`
-    // preserves grid order, so one forward iterator pairs each missing
-    // cell with its result.
-    let mut new_it = results.iter();
-    let mut records: Vec<SweepRecord> = Vec::new();
+    );
+    if resume {
+        eprintln!(
+            "resuming {name}: {} of {} cells served from {}",
+            stats.hits,
+            cells.len(),
+            cache_dir.display()
+        );
+    }
+    if stats.store_errors > 0 {
+        eprintln!("warning: {} cell(s) could not be cached", stats.store_errors);
+    }
+    let mut records = Vec::new();
     let mut failed = Vec::new();
     let mut fresh_runs = Vec::new();
-    for c in &grid {
-        let policy = c.policy.label();
-        let sb = c.effective_sb();
-        let reused = prior.as_ref().and_then(|p| {
-            p.records
-                .iter()
-                .find(|r| r.app == app && r.policy == policy && r.sb == sb)
-        });
-        if let Some(r) = reused {
-            records.push(r.clone());
-        } else {
-            match new_it.next().expect("one result per missing cell") {
-                Ok(run) => {
-                    records.push(SweepRecord::from_run(run));
-                    fresh_runs.push(run);
-                }
-                Err(f) => failed.push(f.clone()),
-            }
+    for cell in resolved {
+        match cell.record {
+            Ok(r) => records.push(r),
+            Err(f) => failed.push(f),
         }
+        fresh_runs.extend(cell.run);
     }
 
-    if fresh_runs.len() == grid.len() {
+    if fresh_runs.len() == cells.len() {
         // A complete fresh sweep: the detailed tables need the full
-        // RunResult stats, which reused records no longer carry.
+        // RunResult stats, which cached records do not carry.
         let labels: Vec<String> = policies.iter().map(|p| p.label()).collect();
         let cols: Vec<&str> = labels.iter().map(String::as_str).collect();
         let mut cycles_t = Table::new(format!("{app} — cycles"), &cols);
@@ -435,7 +399,8 @@ fn sweep(
             print!("{}", chart::render_all(&stall_t, None));
         }
     } else {
-        // Resumed or partially failed: summarize from the records.
+        // Served from the cache or partially failed: summarize from
+        // the records.
         for r in &records {
             println!(
                 "{} {} sb={}: {} cycles, ipc {:.3}",
@@ -447,7 +412,7 @@ fn sweep(
     let mut reg = spb_obs::MetricsRegistry::new();
     let total_wall: f64 = records.iter().map(|r| r.wall_ms).sum();
     reg.component("sweep")
-        .counter("cells", grid.len() as u64)
+        .counter("cells", cells.len() as u64)
         .counter("fresh", fresh_runs.len() as u64)
         .counter("failures", failed.len() as u64)
         .gauge("wall_ms", total_wall)
@@ -463,7 +428,7 @@ fn sweep(
         return Err(CliError(format!(
             "{} of {} cell(s) failed (the rest are saved; re-run with --resume to retry):\n  {}",
             failed.len(),
-            grid.len(),
+            cells.len(),
             failed
                 .iter()
                 .map(ToString::to_string)

@@ -1062,8 +1062,10 @@ to a serial run) and write a machine-readable JSON report under
 results/ (schema: {name, records: [{app, policy, sb, cycles, uops,
 ipc, wall_ms}]}; a \"failed\" array is appended when cells crashed).
 A cell that panics or trips the coherence checker fails alone: the
-other cells complete, the partial report is saved, and `sweep
---resume` re-runs only the missing or failed cells. With `--retry N`
+other cells complete and the partial report is saved. `sweep` stores
+every cell it computes in the result cache under results/cache/, and
+`sweep --resume` serves the cached cells and re-runs only the missing
+or failed ones. With `--retry N`
 transiently failing cells (panics, deadline overruns) are retried up
 to N total attempts with deterministic seeded backoff; the attempt
 count is recorded in each failure record. Invariant violations never

@@ -15,7 +15,7 @@
 use spb_experiments as exp;
 use spb_mem::FaultConfig;
 use spb_sim::config::PolicyKind;
-use spb_sim::sweep::{run_cells_checked, SweepOptions};
+use spb_sim::sweep::{run_cells_supervised, Supervision, SweepOptions};
 use spb_trace::profile::AppProfile;
 
 fn main() {
@@ -44,7 +44,11 @@ fn main() {
         }
     }
     let cell_refs: Vec<_> = cells.iter().map(|(a, c)| (a, c.clone())).collect();
-    let results = run_cells_checked(&cell_refs, &SweepOptions::from_env().progress(true));
+    let results = run_cells_supervised(
+        &cell_refs,
+        &SweepOptions::from_env().progress(true),
+        &Supervision::default(),
+    );
 
     let mut violations = 0;
     println!(
@@ -60,7 +64,7 @@ fn main() {
         "dropped",
         "repairs"
     );
-    for (r, rate) in results.iter().zip(&meta) {
+    for ((r, _attempts), rate) in results.iter().zip(&meta) {
         match r {
             Ok(run) => println!(
                 "{:<8} {:<10} {:>6} {:>12} {:>7.3} {:>8} {:>8} {:>7} {:>7} {:>8}",

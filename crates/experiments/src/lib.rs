@@ -3,13 +3,13 @@
 //! Each `figXX` module computes the data behind the corresponding figure
 //! of the paper and renders it as [`spb_stats::Table`]s whose rows and
 //! columns mirror the publication, so shape can be compared directly.
-//! Every module has a same-named thin binary (`cargo run --release -p
-//! spb-experiments --bin fig05`), and the `all` binary regenerates the
-//! whole evaluation and writes `EXPERIMENTS.md`-ready output.
+//! Every module is listed in [`registry`], and `spbsim experiment fig05`
+//! runs it by id; the `all` binary regenerates the whole evaluation and
+//! writes `EXPERIMENTS.md`-ready output.
 //!
 //! Budgets: [`Budget::Paper`] runs the default µop budget used for the
 //! recorded results; [`Budget::Quick`] is for smoke tests and CI. Pass
-//! `--quick` to any binary to use it.
+//! `--quick` to `spbsim experiment` or to any binary to use it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,12 +2,18 @@
 //!
 //! Every completed cell is stored as one small JSON file keyed by the
 //! cell's *content*: application, a digest of the full [`SimConfig`]
-//! (policy, SB size, budgets, seed, kernel — everything that can change
-//! the numbers), and the simulator code version. Identical cells in
-//! later jobs — or after a crash-restart — are served from disk instead
-//! of being re-simulated, and because the simulator is deterministic a
-//! hit is bit-identical to a fresh run (modulo the non-reproducible
-//! `wall_ms` host timing, which is cached as-measured).
+//! (policy, SB size, budgets, seed — everything that can change the
+//! numbers; the execution kernel cannot, see [`CacheKey::for_cell`]),
+//! and the simulator code version. Identical cells in later jobs — or
+//! after a crash-restart — are served from disk instead of being
+//! re-simulated, and because the simulator is deterministic a hit is
+//! bit-identical to a fresh run (modulo the non-reproducible `wall_ms`
+//! host timing, which is cached as-measured).
+//!
+//! [`run_cached`] is the one path from cells to records: it looks every
+//! cell up, runs the misses through the supervised executor and stores
+//! what they produce. `spbsim sweep`, the service and the tuner all
+//! call it.
 //!
 //! Robustness contract:
 //!
@@ -29,10 +35,12 @@
 //!   recency the evictor sorts by.
 
 use crate::CODE_VERSION;
-use spb_sim::config::SimConfig;
-use spb_sim::sweep::SweepRecord;
+use spb_sim::config::{KernelMode, SimConfig};
+use spb_sim::runner::RunResult;
+use spb_sim::sweep::{run_cells_supervised, CellFailure, Supervision, SweepOptions, SweepRecord};
 use spb_stats::hash::{fnv1a64, hex16};
 use spb_stats::json::Json;
+use spb_trace::profile::AppProfile;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -44,11 +52,21 @@ impl CacheKey {
     /// Derives the key for `(app, cfg)` under the current
     /// [`CODE_VERSION`]. The config digest covers the `Debug` rendering
     /// of the *whole* [`SimConfig`] — any field that could change the
-    /// simulated numbers changes the key.
+    /// simulated numbers changes the key. The kernel is rendered as the
+    /// default `Wheel` whatever `cfg` says: tick and wheel are
+    /// bit-identical by contract, so one cell gets one entry.
     pub fn for_cell(app: &str, cfg: &SimConfig) -> Self {
-        Self(fnv1a64(
-            format!("{CODE_VERSION}|{app}|{cfg:?}").as_bytes(),
-        ))
+        let digest =
+            |cfg: &SimConfig| Self(fnv1a64(format!("{CODE_VERSION}|{app}|{cfg:?}").as_bytes()));
+        // Only a non-default kernel pays for the clone.
+        if cfg.kernel == KernelMode::Wheel {
+            digest(cfg)
+        } else {
+            digest(&SimConfig {
+                kernel: KernelMode::Wheel,
+                ..cfg.clone()
+            })
+        }
     }
 
     /// The entry's file name under the cache directory.
@@ -297,10 +315,133 @@ impl ResultCache {
     }
 }
 
+/// Counters of one [`run_cached`] call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheRunStats {
+    /// Cells served from the cache.
+    pub hits: u64,
+    /// Entries that failed validation; they were quarantined and their
+    /// cells recomputed.
+    pub corrupt: u64,
+    /// Cells simulated by this call.
+    pub computed: u64,
+    /// Attempts beyond the first, summed over the simulated cells.
+    pub retries: u64,
+    /// Cells that failed after their last attempt.
+    pub failed: u64,
+    /// Computed cells whose record could not be stored.
+    pub store_errors: u64,
+}
+
+impl std::ops::AddAssign for CacheRunStats {
+    fn add_assign(&mut self, o: Self) {
+        self.hits += o.hits;
+        self.corrupt += o.corrupt;
+        self.computed += o.computed;
+        self.retries += o.retries;
+        self.failed += o.failed;
+        self.store_errors += o.store_errors;
+    }
+}
+
+/// One cell as [`run_cached`] resolved it.
+#[derive(Debug)]
+pub struct CachedCell {
+    /// The cell's content-addressed key.
+    pub key: CacheKey,
+    /// The cell's record, served or fresh, or why its last attempt
+    /// failed.
+    pub record: Result<SweepRecord, CellFailure>,
+    /// The full result, when this call simulated the cell (boxed so a
+    /// served cell stays small).
+    pub run: Option<Box<RunResult>>,
+}
+
+/// Resolves `cells` to records through `cache`: looks each cell up
+/// (when `reuse` is set), runs the misses through
+/// [`run_cells_supervised`] and stores every record they produce as
+/// [`SweepRecord::from_run_full`]. Results come back in input order.
+///
+/// A hit serves only if its record carries `energy_nj` and `coh_msgs`;
+/// an entry without them is recomputed and overwritten, once. Without
+/// `reuse` every cell is simulated and stored; with no cache at all
+/// nothing is looked up or stored. Store failures are not fatal: the
+/// record is still returned and counted in
+/// [`CacheRunStats::store_errors`].
+pub fn run_cached(
+    cache: Option<&ResultCache>,
+    reuse: bool,
+    cells: &[(&AppProfile, SimConfig)],
+    opts: &SweepOptions,
+    sup: &Supervision,
+) -> (Vec<CachedCell>, CacheRunStats) {
+    let mut stats = CacheRunStats::default();
+    let mut resolved: Vec<Option<CachedCell>> = Vec::with_capacity(cells.len());
+    let mut misses = Vec::new();
+    for (i, (app, cfg)) in cells.iter().enumerate() {
+        let key = CacheKey::for_cell(app.name(), cfg);
+        match cache.filter(|_| reuse).map(|c| c.lookup(key)) {
+            Some(Lookup::Hit(rec)) if rec.energy_nj.is_some() && rec.coh_msgs.is_some() => {
+                stats.hits += 1;
+                resolved.push(Some(CachedCell {
+                    key,
+                    record: Ok(rec),
+                    run: None,
+                }));
+                continue;
+            }
+            Some(Lookup::Corrupt(_)) => stats.corrupt += 1,
+            _ => {}
+        }
+        misses.push((i, key));
+        resolved.push(None);
+    }
+    let todo: Vec<(&AppProfile, SimConfig)> = misses
+        .iter()
+        .map(|&(i, _)| (cells[i].0, cells[i].1.clone()))
+        .collect();
+    for ((i, key), (outcome, attempts)) in misses
+        .into_iter()
+        .zip(run_cells_supervised(&todo, opts, sup))
+    {
+        stats.retries += u64::from(attempts.saturating_sub(1));
+        resolved[i] = Some(match outcome {
+            Ok(run) => {
+                stats.computed += 1;
+                let record = SweepRecord::from_run_full(&run);
+                if let Some(c) = cache {
+                    if c.store(key, cells[i].0.name(), &record).is_err() {
+                        stats.store_errors += 1;
+                    }
+                }
+                CachedCell {
+                    key,
+                    record: Ok(record),
+                    run: Some(Box::new(run)),
+                }
+            }
+            Err(f) => {
+                stats.failed += 1;
+                CachedCell {
+                    key,
+                    record: Err(f),
+                    run: None,
+                }
+            }
+        });
+    }
+    let cells = resolved
+        .into_iter()
+        .map(|c| c.expect("every cell is a hit or was run"))
+        .collect();
+    (cells, stats)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use spb_sim::config::PolicyKind;
+    use spb_sim::sweep::ChaosPlan;
 
     fn record() -> SweepRecord {
         SweepRecord {
@@ -354,6 +495,99 @@ mod tests {
         let mut seeded = base.clone();
         seeded.seed = 43;
         assert_ne!(k("x264", &base), k("x264", &seeded));
+        // Tick and wheel are bit-identical by contract: one cell, one
+        // entry, whichever kernel computed it.
+        let tick = SimConfig {
+            kernel: KernelMode::Tick,
+            ..base.clone()
+        };
+        assert_eq!(k("x264", &tick), k("x264", &base));
+    }
+
+    /// A budget small enough for debug-build tests.
+    fn tiny_cells(app: &AppProfile) -> Vec<(&AppProfile, SimConfig)> {
+        let mut cfg = SimConfig::quick();
+        cfg.warmup_uops = 2_000;
+        cfg.measure_uops = 10_000;
+        [14, 28].iter().map(|&sb| (app, cfg.clone().with_sb(sb))).collect()
+    }
+
+    #[test]
+    fn a_second_run_computes_nothing_and_thin_entries_recompute_once() {
+        let cache = tmp_cache("rerun");
+        let app = AppProfile::by_name("x264").unwrap();
+        let cells = tiny_cells(&app);
+        let run = |reuse| {
+            run_cached(
+                Some(&cache),
+                reuse,
+                &cells,
+                &SweepOptions::serial(),
+                &Supervision::default(),
+            )
+        };
+        let (first, s) = run(true);
+        assert_eq!((s.hits, s.computed, s.failed), (0, 2, 0));
+        assert!(first.iter().all(|c| c.run.is_some()), "fresh cells keep their run");
+
+        let (second, s) = run(true);
+        assert_eq!((s.hits, s.computed), (2, 0), "the second call computes 0 cells");
+        for (a, b) in first.iter().zip(&second) {
+            assert_eq!(a.key, b.key);
+            assert_eq!(a.record, b.record, "a hit is the stored record");
+            assert!(b.run.is_none());
+        }
+
+        // Without reuse every cell is simulated (and stored) again.
+        let (_, s) = run(false);
+        assert_eq!((s.hits, s.computed), (0, 2));
+
+        // An entry without the objective fields is a miss, recomputed
+        // and overwritten with a complete record.
+        let thin = SweepRecord {
+            energy_nj: None,
+            coh_msgs: None,
+            ..first[0].record.clone().unwrap()
+        };
+        cache.store(first[0].key, "x264", &thin).unwrap();
+        let (_, s) = run(true);
+        assert_eq!((s.hits, s.computed), (1, 1));
+        let (_, s) = run(true);
+        assert_eq!((s.hits, s.computed), (2, 0), "recomputed once, then served");
+        std::fs::remove_dir_all(cache.dir()).unwrap();
+    }
+
+    #[test]
+    fn a_cell_that_fails_every_attempt_is_computed_on_the_next_call() {
+        let cache = tmp_cache("chaos");
+        let app = AppProfile::by_name("x264").unwrap();
+        let cells = &tiny_cells(&app)[..1];
+        let all_fail = Supervision {
+            max_attempts: 2,
+            base_backoff_ms: 0,
+            chaos: Some(ChaosPlan {
+                rate_e4: 10_000,
+                seed: 1,
+            }),
+            ..Supervision::default()
+        };
+        let (out, s) = run_cached(Some(&cache), true, cells, &SweepOptions::serial(), &all_fail);
+        assert_eq!((s.computed, s.failed, s.retries), (0, 1, 1));
+        let f = out[0].record.as_ref().unwrap_err();
+        assert!(f.reason.starts_with("chaos:"), "reason: {}", f.reason);
+        assert_eq!(cache.entry_count(), 0, "a failed cell stores nothing");
+
+        let (out, s) = run_cached(
+            Some(&cache),
+            true,
+            cells,
+            &SweepOptions::serial(),
+            &Supervision::default(),
+        );
+        assert_eq!((s.hits, s.computed, s.failed), (0, 1, 0));
+        assert!(out[0].record.is_ok());
+        assert_eq!(cache.entry_count(), 1);
+        std::fs::remove_dir_all(cache.dir()).unwrap();
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //!   worker panics, per-cell deadline overruns and injected chaos
 //!   become structured failures that retry with deterministic seeded
 //!   exponential backoff; invariant violations fail fast.
-//! - **Content-addressed cache** ([`cache::ResultCache`]): every cell
-//!   result is persisted under a key derived from (app, full config
-//!   digest, code version), checksummed, written atomically, and
-//!   quarantined + recomputed on corruption.
+//! - **Content-addressed cache** ([`cache::ResultCache`]): each cell
+//!   result is keyed by (app, full config digest, code version),
+//!   checksummed, written atomically, and quarantined + recomputed on
+//!   corruption; [`cache::run_cached`] is the one cache-backed runner.
 //! - **Write-ahead journal** ([`journal::Journal`]): jobs are durable
 //!   before they are runnable; a `kill -9` mid-sweep recovers on
 //!   restart with only uncached cells re-simulated.
@@ -59,7 +59,7 @@ pub mod journal;
 pub mod service;
 pub mod spec;
 
-pub use cache::{CacheKey, Lookup, ResultCache};
+pub use cache::{run_cached, CacheKey, CacheRunStats, CachedCell, Lookup, ResultCache};
 pub use journal::{Journal, Recovery};
 pub use service::{ServeConfig, Server};
 pub use spec::{Budget, CellSpec, JobSpec};

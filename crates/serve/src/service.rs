@@ -6,10 +6,10 @@
 //! [`spb_sim::sweep::SweepReport`]-schema results. The robustness
 //! pieces compose here:
 //!
-//! - every cell goes through the [`crate::cache::ResultCache`] first —
-//!   hits skip simulation entirely and are bit-identical to a fresh
-//!   deterministic run;
-//! - misses run under [`spb_sim::sweep::run_cells_supervised`]:
+//! - every cell goes through [`crate::cache::run_cached`]: hits skip
+//!   simulation entirely and are bit-identical to a fresh
+//!   deterministic run, while misses run under
+//!   [`spb_sim::sweep::run_cells_supervised`] —
 //!   panics/deadlines/injected chaos retry with seeded backoff,
 //!   invariant violations fail fast into the report's `failed` array;
 //! - the [`crate::journal::Journal`] write-ahead log makes accepted
@@ -19,14 +19,12 @@
 //!   explicit `overloaded` rejection immediately — the server never
 //!   accepts work it cannot promise to journal and run.
 
-use crate::cache::{CacheKey, Lookup, ResultCache};
+use crate::cache::{run_cached, CacheRunStats, ResultCache};
 use crate::journal::Journal;
 use crate::spec::JobSpec;
 use spb_obs::SharedCounters;
 use spb_sim::config::SimConfig;
-use spb_sim::sweep::{
-    run_cells_supervised, ChaosPlan, Supervision, SweepOptions, SweepRecord, SweepReport,
-};
+use spb_sim::sweep::{ChaosPlan, Supervision, SweepOptions, SweepReport};
 use spb_stats::json::Json;
 use spb_trace::profile::AppProfile;
 use std::collections::VecDeque;
@@ -344,36 +342,18 @@ impl Server {
         }
     }
 
-    /// Executes one job: cache pass, supervised computation of the
-    /// misses, cache stores, report assembly in request order.
+    /// Executes one job: cells through the cache-backed runner, one
+    /// worker-pool-sized chunk at a time, then report assembly in
+    /// request order.
     fn run_job(&self, job: &JobSpec) -> String {
         let (profiles, resolved) = match job.resolve() {
             Ok(r) => r,
             Err(e) => return Self::error(format!("bad job: {e}")),
         };
-        let keys: Vec<CacheKey> = resolved
-            .iter()
-            .map(|(pi, cfg)| CacheKey::for_cell(profiles[*pi].name(), cfg))
+        let cells: Vec<(&AppProfile, SimConfig)> = resolved
+            .into_iter()
+            .map(|(pi, cfg)| (&profiles[pi], cfg))
             .collect();
-        let mut records: Vec<Option<SweepRecord>> = vec![None; resolved.len()];
-        let mut misses: Vec<usize> = Vec::new();
-        let (mut hits, mut corrupt) = (0u64, 0u64);
-        for (i, &key) in keys.iter().enumerate() {
-            match self.cache.lookup(key) {
-                Lookup::Hit(record) => {
-                    hits += 1;
-                    records[i] = Some(record);
-                }
-                Lookup::Miss => misses.push(i),
-                Lookup::Corrupt(_) => {
-                    corrupt += 1;
-                    misses.push(i);
-                }
-            }
-        }
-        self.stats.add("cache_hits", hits);
-        self.stats.add("cache_corrupt", corrupt);
-
         let supervision = Supervision {
             max_attempts: job.retry.max(self.cfg.retry).max(1),
             deadline_ms: job.deadline_ms.or(self.cfg.deadline_ms),
@@ -385,62 +365,48 @@ impl Server {
         };
         let opts = SweepOptions::with_jobs(self.cfg.jobs);
 
-        // Misses run in worker-pool-sized chunks, and each chunk's
-        // results hit the cache (and the counters) before the next one
-        // starts: a crash mid-job loses at most one chunk of work, so
-        // restart recovery re-simulates only the cells that never made
-        // it to disk.
-        let (mut computed, mut retries, mut failed_count) = (0u64, 0u64, 0u64);
+        // Each chunk's results hit the cache (and the counters) before
+        // the next one starts: a crash mid-job loses at most one chunk
+        // of work, so restart recovery re-simulates only the cells that
+        // never made it to disk.
+        let mut total = CacheRunStats::default();
+        let mut records = Vec::with_capacity(cells.len());
         let mut failed = Vec::new();
-        for miss_chunk in misses.chunks(self.cfg.jobs.max(1)) {
-            let cells: Vec<(&AppProfile, SimConfig)> = miss_chunk
-                .iter()
-                .map(|&i| (&profiles[resolved[i].0], resolved[i].1.clone()))
-                .collect();
-            let outcomes = run_cells_supervised(&cells, &opts, &supervision);
-            let (mut chunk_computed, mut chunk_retries, mut chunk_failed) = (0u64, 0u64, 0u64);
-            for ((outcome, attempts), &i) in outcomes.into_iter().zip(miss_chunk) {
-                chunk_retries += u64::from(attempts.saturating_sub(1));
-                match outcome {
-                    Ok(run) => {
-                        let record = SweepRecord::from_run(&run);
-                        // A store failure is not fatal: the result still
-                        // goes into this report, the cell just isn't
-                        // durable for the next job.
-                        if self
-                            .cache
-                            .store(keys[i], profiles[resolved[i].0].name(), &record)
-                            .is_err()
-                        {
-                            self.stats.inc("cache_store_errors");
-                        }
-                        chunk_computed += 1;
-                        records[i] = Some(record);
-                    }
-                    Err(f) => {
-                        chunk_failed += 1;
-                        failed.push(f);
-                    }
+        for chunk in cells.chunks(self.cfg.jobs.max(1)) {
+            let (resolved, s) = run_cached(Some(&self.cache), true, chunk, &opts, &supervision);
+            for (name, n) in [
+                ("cache_hits", s.hits),
+                ("cache_corrupt", s.corrupt),
+                ("cells_computed", s.computed),
+                ("cell_retries", s.retries),
+                ("cells_failed", s.failed),
+                ("cache_store_errors", s.store_errors),
+            ] {
+                // Adding 0 would register `cache_store_errors`, which
+                // health lists only once a store has failed.
+                if n > 0 {
+                    self.stats.add(name, n);
                 }
             }
-            self.stats.add("cells_computed", chunk_computed);
-            self.stats.add("cell_retries", chunk_retries);
-            self.stats.add("cells_failed", chunk_failed);
-            computed += chunk_computed;
-            retries += chunk_retries;
-            failed_count += chunk_failed;
+            total += s;
+            for cell in resolved {
+                match cell.record {
+                    Ok(record) => records.push(record),
+                    Err(f) => failed.push(f),
+                }
+            }
         }
 
         let job_stats = Json::obj([
-            ("cache_hits", Json::from(hits)),
-            ("cache_corrupt", Json::from(corrupt)),
-            ("computed", Json::from(computed)),
-            ("retries", Json::from(retries)),
-            ("failed", Json::from(failed_count)),
+            ("cache_hits", Json::from(total.hits)),
+            ("cache_corrupt", Json::from(total.corrupt)),
+            ("computed", Json::from(total.computed)),
+            ("retries", Json::from(total.retries)),
+            ("failed", Json::from(total.failed)),
         ]);
         let report = SweepReport {
             name: job.name.clone(),
-            records: records.into_iter().flatten().collect(),
+            records,
             failed,
             metrics: Some(Json::obj([("serve_job", job_stats.clone())])),
         };

@@ -2,7 +2,11 @@
 //! cache hits on resubmission, journal recovery, injected-fault
 //! convergence, and explicit overload shedding.
 
-use spb_serve::{client, Budget, CellSpec, JobSpec, ServeConfig, Server};
+use spb_serve::{
+    client, run_cached, Budget, CacheKey, CellSpec, JobSpec, Lookup, ResultCache, ServeConfig,
+    Server,
+};
+use spb_sim::sweep::{Supervision, SweepOptions};
 use spb_stats::json::Json;
 use std::path::PathBuf;
 
@@ -99,6 +103,44 @@ fn submit_computes_then_resubmission_hits_the_cache() {
     assert_eq!(counters.get("cache_hits").and_then(Json::as_u64), Some(3));
 
     client::shutdown(&addr).expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_cell_written_by_a_serve_job_is_a_hit_for_a_tune() {
+    let dir = state_dir("serve-then-tune");
+    let addr = spawn_server(ServeConfig::at(&dir));
+    let job = tiny_job("shared");
+    let reply = client::submit(&addr, &job).expect("submission");
+    assert_eq!(stat(&reply, "computed"), 3);
+    client::shutdown(&addr).expect("shutdown");
+
+    // The tuner reads cells through `run_cached`, which serves only
+    // records that carry its objectives: the service stores those.
+    let cache = ResultCache::open(dir.join("cache")).expect("cache");
+    let (profiles, resolved) = job.resolve().expect("resolve");
+    let cells: Vec<_> = resolved
+        .into_iter()
+        .map(|(pi, cfg)| (&profiles[pi], cfg))
+        .collect();
+    for (app, cfg) in &cells {
+        match cache.lookup(CacheKey::for_cell(app.name(), cfg)) {
+            Lookup::Hit(rec) => assert!(
+                rec.energy_nj.is_some() && rec.coh_msgs.is_some(),
+                "{} entry lacks the tuner's objectives: {rec:?}",
+                app.name()
+            ),
+            other => panic!("{}: expected a hit, got {other:?}", app.name()),
+        }
+    }
+    let (_, s) = run_cached(
+        Some(&cache),
+        true,
+        &cells,
+        &SweepOptions::serial(),
+        &Supervision::default(),
+    );
+    assert_eq!((s.hits, s.computed), (3, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

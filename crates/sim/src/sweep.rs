@@ -4,13 +4,13 @@
 //! configuration)` cells, each simulated independently. The cells share
 //! no mutable state — [`crate::simulation::Simulation`] builds its own memory
 //! system and cores from the immutable profile and config — so they can
-//! fan out across a worker pool with no effect on the simulated
-//! numbers. [`run_cells`] does exactly that on `std::thread::scope`:
-//! workers claim cells through an atomic index and deposit results into
-//! per-cell slots, so the returned vector is always in **input order**
-//! and bit-identical to a serial run regardless of the job count or
-//! completion order (only the wall-clock fields differ; see
-//! [`crate::runner::RunResult::wall_ms`]).
+//! fan out across a worker pool with no effect on the simulated numbers.
+//! [`run_cells_supervised`] is the one executor: scoped workers claim
+//! cells through an atomic index, run each cell's attempts in a loop
+//! (retries, deadlines, chaos per [`Supervision`]) and fill per-cell
+//! slots, so results come back in **input order**, bit-identical to a
+//! serial run whatever the job count (only [`RunResult::wall_ms`]
+//! differs). [`run_cells`] is its all-or-panic form for the grids.
 //!
 //! [`SweepOptions`] carries the knobs: `jobs` (how many worker threads;
 //! the `SPB_JOBS` environment variable or `--jobs` on the CLI) and
@@ -119,14 +119,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// [`parallel_map`], but a panic in `f` fails only that item instead of
-/// tearing down the whole pool.
+/// Applies `f` to every item on a pool of `jobs` scoped worker threads
+/// and returns the results **in input order**; a panic in `f` fails
+/// only that item instead of tearing down the whole pool.
 ///
-/// Each invocation of `f` runs under `catch_unwind`, so one poisoned
-/// item — a simulator bug, a pathological configuration — yields an
-/// `Err(panic_message)` in its slot while every other item still
-/// completes and returns `Ok`. Results stay in **input order**.
-pub fn parallel_map_catch<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<Result<R, String>>
+/// Workers claim items through an atomic cursor, so scheduling is
+/// dynamic (long and short items interleave freely) while the output
+/// order stays deterministic. Each invocation of `f` runs under
+/// `catch_unwind`, so one poisoned item yields an `Err(panic_message)`
+/// in its slot while every other item still completes and returns `Ok`.
+/// With `jobs <= 1` this degenerates to a plain serial loop on the
+/// calling thread.
+fn parallel_map_catch<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<Result<R, String>>
 where
     T: Sync,
     R: Send,
@@ -162,32 +166,6 @@ where
                 .expect("result slot poisoned")
                 .expect("every slot is filled once all workers join")
         })
-        .collect()
-}
-
-/// Applies `f` to every item on a pool of `jobs` scoped worker threads
-/// and returns the results **in input order**.
-///
-/// Workers claim items through an atomic cursor, so scheduling is
-/// dynamic (long and short items interleave freely) while the output
-/// order stays deterministic. With `jobs <= 1` this degenerates to a
-/// plain serial loop on the calling thread.
-///
-/// # Panics
-///
-/// Re-raises the first panic from `f` (in input order) — but only once
-/// **all** items have been attempted, so a sibling item's work is never
-/// lost to someone else's crash. Callers that need to keep the
-/// surviving results use [`parallel_map_catch`].
-pub fn parallel_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_catch(items, jobs, f)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|msg| panic!("worker panicked: {msg}")))
         .collect()
 }
 
@@ -308,13 +286,6 @@ pub fn run_cell(
     cfg: &SimConfig,
     deadline_ms: Option<u64>,
 ) -> Result<RunResult, CellFailure> {
-    let fail = |reason: String| CellFailure {
-        app: app.name().to_string(),
-        policy: cfg.policy.label(),
-        sb: cfg.effective_sb(),
-        reason,
-        attempts: 1,
-    };
     let outcome = match deadline_ms {
         None => std::panic::catch_unwind(AssertUnwindSafe(|| {
             Simulation::with_config(app, cfg).run()
@@ -340,9 +311,11 @@ pub fn run_cell(
             match rx.recv_timeout(Duration::from_millis(ms)) {
                 Ok(r) => r,
                 Err(_) => {
-                    return Err(fail(format!(
-                        "deadline: cell exceeded {ms} ms; worker abandoned"
-                    )))
+                    return Err(failure(
+                        app,
+                        cfg,
+                        format!("deadline: cell exceeded {ms} ms; worker abandoned"),
+                    ))
                 }
             }
         }
@@ -356,7 +329,18 @@ pub fn run_cell(
             reason: e.violation.to_string(),
             attempts: 1,
         }),
-        Err(msg) => Err(fail(format!("panic: {msg}"))),
+        Err(msg) => Err(failure(app, cfg, format!("panic: {msg}"))),
+    }
+}
+
+/// A single-attempt [`CellFailure`] of the cell `(app, cfg)`.
+fn failure(app: &AppProfile, cfg: &SimConfig, reason: String) -> CellFailure {
+    CellFailure {
+        app: app.name().to_string(),
+        policy: cfg.policy.label(),
+        sb: cfg.effective_sb(),
+        reason,
+        attempts: 1,
     }
 }
 
@@ -454,179 +438,112 @@ impl Supervision {
 /// of attempts it consumed; failures also carry the attempt count in
 /// [`CellFailure::attempts`].
 ///
-/// Retries re-run the *identical* deterministic simulation, so a cell
-/// that succeeds on any attempt yields the same [`RunResult`] a
+/// Each worker runs all of one cell's attempts, backoff included,
+/// before it claims the next cell; a retry never waits for the other
+/// cells' attempts. Retries
+/// re-run the *identical* deterministic simulation, so a cell that
+/// succeeds on any attempt yields the same [`RunResult`] a
 /// first-attempt success would have — supervision never perturbs
-/// simulated numbers.
+/// simulated numbers. With [`Supervision::default`] (one attempt, no
+/// deadline, no chaos) each cell is exactly one caught
+/// `Simulation::run`.
+///
+/// With `opts.progress`, each settled cell prints a narrator line such
+/// as `[12/69] x264 sb=14 spb-burst(48) 1.8s` to stderr; the counter
+/// reflects completion order, not input order. When retries are
+/// configured every line names its attempt, and failed attempts that
+/// will be retried print too.
 pub fn run_cells_supervised(
     cells: &[(&AppProfile, SimConfig)],
     opts: &SweepOptions,
     sup: &Supervision,
 ) -> Vec<(Result<RunResult, CellFailure>, u32)> {
     let total = cells.len();
-    let keys: Vec<u64> = cells.iter().map(|(a, c)| cell_fingerprint(a, c)).collect();
-    let mut results: Vec<Option<Result<RunResult, CellFailure>>> =
-        (0..total).map(|_| None).collect();
-    let mut attempts_of = vec![0u32; total];
-    let mut pending: Vec<usize> = (0..total).collect();
     let max_attempts = sup.max_attempts.max(1);
     let settled = AtomicUsize::new(0);
-    for attempt in 1..=max_attempts {
-        if pending.is_empty() {
-            break;
+    let narrate = |res: &Result<RunResult, CellFailure>, attempt: u32, last: bool| {
+        let tag = if last {
+            format!("[{}/{total}] ", settled.fetch_add(1, Ordering::Relaxed) + 1)
+        } else {
+            String::new()
+        };
+        let tries = if max_attempts > 1 {
+            format!(" (attempt {attempt}/{max_attempts})")
+        } else {
+            String::new()
+        };
+        match res {
+            Ok(r) => eprintln!(
+                "{tag}{} sb={} {} {:.1}s{tries}",
+                r.app,
+                r.sb_entries,
+                r.policy,
+                r.wall_ms / 1000.0
+            ),
+            Err(f) => eprintln!(
+                "{tag}{} sb={} {} FAILED: {}{tries}",
+                f.app,
+                f.sb,
+                f.policy,
+                f.reason.lines().next().unwrap_or("")
+            ),
         }
-        let round = parallel_map_catch(&pending, opts.jobs, |_, &i| {
-            let (app, cfg) = &cells[i];
+    };
+    let outcomes = parallel_map_catch(cells, opts.jobs, |_, (app, cfg)| {
+        let key = cell_fingerprint(app, cfg);
+        let mut attempt = 1;
+        loop {
             if attempt > 1 {
-                std::thread::sleep(Duration::from_millis(sup.backoff_ms(keys[i], attempt)));
+                std::thread::sleep(Duration::from_millis(sup.backoff_ms(key, attempt)));
             }
             let res = match sup.chaos {
-                Some(chaos) if chaos.injects(keys[i], attempt) => Err(CellFailure {
-                    app: app.name().to_string(),
-                    policy: cfg.policy.label(),
-                    sb: cfg.effective_sb(),
-                    reason: format!("chaos: injected worker crash (attempt {attempt})"),
-                    attempts: 1,
-                }),
+                Some(chaos) if chaos.injects(key, attempt) => Err(failure(
+                    app,
+                    cfg,
+                    format!("chaos: injected worker crash (attempt {attempt})"),
+                )),
                 _ => run_cell(app, cfg, sup.deadline_ms),
-            };
-            if opts.progress {
-                match &res {
-                    Ok(r) => {
-                        let k = settled.fetch_add(1, Ordering::Relaxed) + 1;
-                        eprintln!(
-                            "[{k}/{total}] {} sb={} {} {:.1}s (attempt {attempt})",
-                            r.app,
-                            r.sb_entries,
-                            r.policy,
-                            r.wall_ms / 1000.0
-                        );
-                    }
-                    Err(f) => {
-                        let first = f.reason.lines().next().unwrap_or("");
-                        eprintln!(
-                            "{} sb={} {} attempt {attempt}/{max_attempts} FAILED: {first}",
-                            f.app, f.sb, f.policy
-                        );
-                    }
-                }
             }
-            res
-        });
-        let mut next = Vec::new();
-        for (&i, r) in pending.iter().zip(round) {
-            attempts_of[i] = attempt;
-            let res = r.unwrap_or_else(|msg| {
-                let (app, cfg) = &cells[i];
-                Err(CellFailure {
-                    app: app.name().to_string(),
-                    policy: cfg.policy.label(),
-                    sb: cfg.effective_sb(),
-                    reason: format!("panic: {msg}"),
-                    attempts: 1,
-                })
+            .map_err(|f| CellFailure {
+                attempts: attempt,
+                ..f
             });
-            match res {
-                Ok(run) => results[i] = Some(Ok(run)),
-                Err(mut f) => {
-                    f.attempts = attempt;
-                    let retry = f.is_transient() && attempt < max_attempts;
-                    results[i] = Some(Err(f));
-                    if retry {
-                        next.push(i);
-                    }
-                }
+            let retry = matches!(&res, Err(f) if f.is_transient() && attempt < max_attempts);
+            if opts.progress {
+                narrate(&res, attempt, !retry);
             }
-        }
-        pending = next;
-    }
-    results
-        .into_iter()
-        .zip(attempts_of)
-        .map(|(r, a)| (r.expect("every cell attempted at least once"), a))
-        .collect()
-}
-
-/// Runs every `(application, configuration)` cell, isolating failures:
-/// a cell that panics or trips the coherence checker becomes an
-/// `Err(CellFailure)` in its slot while every other cell still runs to
-/// completion. Results are in input order.
-///
-/// This is what makes long sweeps crash-proof: hours of sibling results
-/// survive one poisoned cell, and the failures ride along in the
-/// [`SweepReport`] (see [`SweepReport::from_results`]) so a `--resume`
-/// pass can re-run exactly the missing cells.
-pub fn run_cells_checked(
-    cells: &[(&AppProfile, SimConfig)],
-    opts: &SweepOptions,
-) -> Vec<Result<RunResult, CellFailure>> {
-    let total = cells.len();
-    let done = AtomicUsize::new(0);
-    let raw = parallel_map_catch(cells, opts.jobs, |_, (app, cfg)| {
-        let res = Simulation::with_config(app, cfg).run();
-        if opts.progress {
-            let k = done.fetch_add(1, Ordering::Relaxed) + 1;
-            match &res {
-                Ok(r) => eprintln!(
-                    "[{k}/{total}] {} sb={} {} {:.1}s",
-                    r.app,
-                    r.sb_entries,
-                    r.policy,
-                    r.wall_ms / 1000.0
-                ),
-                Err(e) => eprintln!(
-                    "[{k}/{total}] {} sb={} {} FAILED: {}",
-                    e.app, e.sb_entries, e.policy, e.violation.kind
-                ),
+            if !retry {
+                return (res, attempt);
             }
+            attempt += 1;
         }
-        res
     });
-    raw.into_iter()
+    outcomes
+        .into_iter()
         .zip(cells)
-        .map(|(slot, (app, cfg))| match slot {
-            Ok(Ok(run)) => Ok(run),
-            Ok(Err(e)) => {
-                let reason = e.violation.to_string();
-                Err(CellFailure {
-                    app: e.app,
-                    policy: e.policy,
-                    sb: e.sb_entries,
-                    reason,
-                    attempts: 1,
-                })
-            }
-            Err(panic_msg) => Err(CellFailure {
-                app: app.name().to_string(),
-                policy: cfg.policy.label(),
-                sb: cfg.effective_sb(),
-                reason: format!("panic: {panic_msg}"),
-                attempts: 1,
-            }),
+        .map(|(slot, (app, cfg))| {
+            slot.unwrap_or_else(|msg| (Err(failure(app, cfg, format!("panic: {msg}"))), 1))
         })
         .collect()
 }
 
-/// Runs every `(application, configuration)` cell and returns the
-/// results in input order.
+/// Runs every `(application, configuration)` cell once and returns the
+/// results in input order: [`run_cells_supervised`] with
+/// [`Supervision::default`], all or nothing.
 ///
 /// This is the execution core behind [`crate::suite::SuiteResult::run`]
 /// and the experiment grids: results are identical to running the cells
-/// one by one in order (modulo the wall-clock fields). With
-/// `opts.progress`, each completed cell prints a narrator line such as
-/// `[12/69] x264 sb=14 spb-burst(48) 1.8s` to stderr; the counter
-/// reflects completion order, not input order.
+/// one by one in order (modulo the wall-clock fields).
 ///
 /// # Panics
 ///
 /// Panics with the collected diagnostics if any cell failed — but only
 /// after **every** cell has been attempted. Sweeps that must keep the
-/// surviving results use [`run_cells_checked`].
+/// surviving results call [`run_cells_supervised`] directly.
 pub fn run_cells(cells: &[(&AppProfile, SimConfig)], opts: &SweepOptions) -> Vec<RunResult> {
-    let results = run_cells_checked(cells, opts);
-    let mut runs = Vec::with_capacity(results.len());
+    let mut runs = Vec::with_capacity(cells.len());
     let mut failures = Vec::new();
-    for r in results {
+    for (r, _) in run_cells_supervised(cells, opts, &Supervision::default()) {
         match r {
             Ok(run) => runs.push(run),
             Err(f) => failures.push(f.to_string()),
@@ -659,9 +576,10 @@ pub struct SweepRecord {
     /// Host wall-clock time of the run, in milliseconds.
     pub wall_ms: f64,
     /// Total energy of the measured window in nJ ([`spb-energy`]'s
-    /// model). Only populated by [`SweepRecord::from_run_full`] (the
-    /// tuner path); serialized only when present, so classic sweep
-    /// reports stay byte-identical.
+    /// model). Only populated by [`SweepRecord::from_run_full`] (every
+    /// record of the result cache); serialized only when present, so
+    /// reports built with [`SweepRecord::from_run`] (the figure grid)
+    /// stay byte-identical.
     pub energy_nj: Option<f64>,
     /// Coherence-traffic messages of the measured window
     /// ([`spb_mem::MemStats::coherence_traffic`]). Same only-when-present
@@ -775,8 +693,7 @@ pub struct SweepReport {
     /// One record per run, in sweep order.
     pub records: Vec<SweepRecord>,
     /// Cells that panicked or tripped the invariant checker (empty for a
-    /// clean sweep). Kept in the report so `--resume` knows what to
-    /// re-run.
+    /// clean sweep), with their diagnostics.
     pub failed: Vec<CellFailure>,
     /// Optional sweep-level metrics (executor counters, host timings),
     /// serialized as-is under `"metrics"`.
@@ -792,36 +709,6 @@ impl SweepReport {
             failed: Vec::new(),
             metrics: None,
         }
-    }
-
-    /// Summarizes the output of [`run_cells_checked`]: successes become
-    /// records, failures ride along in `failed`.
-    pub fn from_results(
-        name: impl Into<String>,
-        results: &[Result<RunResult, CellFailure>],
-    ) -> Self {
-        let mut report = Self {
-            name: name.into(),
-            records: Vec::new(),
-            failed: Vec::new(),
-            metrics: None,
-        };
-        for r in results {
-            match r {
-                Ok(run) => report.records.push(SweepRecord::from_run(run)),
-                Err(f) => report.failed.push(f.clone()),
-            }
-        }
-        report
-    }
-
-    /// Whether the report already holds a **successful** record for this
-    /// cell (failed cells don't count — they are what `--resume`
-    /// re-runs).
-    pub fn has_record(&self, app: &str, policy: &str, sb: usize) -> bool {
-        self.records
-            .iter()
-            .any(|r| r.app == app && r.policy == policy && r.sb == sb)
     }
 
     fn body_json(&self) -> Json {
@@ -965,10 +852,13 @@ mod tests {
     fn parallel_map_preserves_input_order() {
         let items: Vec<u64> = (0..97).collect();
         for jobs in [1, 2, 3, 8, 200] {
-            let out = parallel_map(&items, jobs, |i, &v| {
+            let out: Vec<u64> = parallel_map_catch(&items, jobs, |i, &v| {
                 assert_eq!(i as u64, v);
                 v * v
-            });
+            })
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
             assert_eq!(out, items.iter().map(|v| v * v).collect::<Vec<_>>());
         }
     }
@@ -976,8 +866,8 @@ mod tests {
     #[test]
     fn parallel_map_handles_empty_and_single() {
         let none: Vec<u32> = vec![];
-        assert!(parallel_map(&none, 4, |_, v| *v).is_empty());
-        assert_eq!(parallel_map(&[5u32], 4, |_, v| *v + 1), vec![6]);
+        assert!(parallel_map_catch(&none, 4, |_, v| *v).is_empty());
+        assert_eq!(parallel_map_catch(&[5u32], 4, |_, v| *v + 1), vec![Ok(6)]);
     }
 
     #[test]
@@ -1004,25 +894,32 @@ mod tests {
     fn parallel_map_repanics_only_after_all_items_ran() {
         let attempted = AtomicUsize::new(0);
         let items: Vec<u32> = (0..8).collect();
-        let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            parallel_map(&items, 2, |_, &v| {
-                attempted.fetch_add(1, Ordering::Relaxed);
-                if v == 0 {
-                    panic!("first cell dies");
-                }
-                v
-            })
-        }));
-        assert!(res.is_err(), "the panic still propagates to the caller");
+        let out = parallel_map_catch(&items, 2, |_, &v| {
+            attempted.fetch_add(1, Ordering::Relaxed);
+            if v == 0 {
+                panic!("first cell dies");
+            }
+            v
+        });
         assert_eq!(
             attempted.load(Ordering::Relaxed),
             8,
             "every sibling item was still attempted"
         );
+        assert!(out[0].as_ref().unwrap_err().contains("first cell dies"));
+        // `run_cells` turns a failed cell into a panic for its caller,
+        // after its siblings ran.
+        let app = AppProfile::by_name("x264").unwrap();
+        let cells = vec![(&app, tiny().with_sb(0)), (&app, tiny())];
+        let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_cells(&cells, &SweepOptions::with_jobs(2))
+        }));
+        let msg = panic_message(res.expect_err("the panic still propagates to the caller"));
+        assert!(msg.starts_with("1 sweep cell(s) failed"), "msg: {msg}");
     }
 
     #[test]
-    fn run_cells_checked_survives_a_poisoned_cell() {
+    fn run_cells_supervised_survives_a_poisoned_cell() {
         let app = AppProfile::by_name("x264").unwrap();
         let mut quick = SimConfig::quick();
         quick.warmup_uops = 2_000;
@@ -1031,24 +928,34 @@ mod tests {
         // SB before simulating anything.
         let bad = quick.clone().with_sb(0);
         let cells = vec![(&app, quick.clone()), (&app, bad), (&app, quick.clone())];
-        let out = run_cells_checked(&cells, &SweepOptions::with_jobs(2));
-
-        assert!(out[0].is_ok() && out[2].is_ok(), "siblings survive");
-        let f = out[1].as_ref().unwrap_err();
-        assert_eq!(f.app, "x264");
-        assert_eq!(f.sb, 0);
-        assert!(f.reason.contains("panic:"), "reason: {}", f.reason);
-
-        let report = SweepReport::from_results("partial", &out);
-        assert_eq!(report.records.len(), 2);
-        assert_eq!(report.failed.len(), 1);
-        let policy = quick.policy.label();
-        assert!(report.has_record("x264", &policy, quick.effective_sb()));
-        assert!(
-            !report.has_record("x264", &policy, 0),
-            "failures don't count"
+        let out = run_cells_supervised(
+            &cells,
+            &SweepOptions::with_jobs(2),
+            &Supervision::default(),
         );
 
+        assert_eq!(out.len(), 3);
+        let policy = quick.policy.label();
+        for i in [0, 2] {
+            let (run, attempts) = &out[i];
+            let run = run.as_ref().expect("siblings survive");
+            assert_eq!(run.policy, policy);
+            assert_eq!(run.sb_entries, quick.effective_sb());
+            assert_eq!(*attempts, 1);
+        }
+        let (res, attempts) = &out[1];
+        let f = res.as_ref().unwrap_err();
+        assert_eq!(f.app, "x264");
+        assert_eq!(f.sb, 0);
+        assert_eq!((*attempts, f.attempts), (1, 1), "no retry by default");
+        assert!(f.reason.contains("panic:"), "reason: {}", f.reason);
+
+        let report = SweepReport {
+            name: "partial".into(),
+            records: vec![],
+            failed: vec![f.clone()],
+            metrics: None,
+        };
         let text = report.to_json_string();
         assert!(text.contains("\"failed\""));
         assert_eq!(SweepReport::parse(&text).unwrap(), report);
@@ -1154,7 +1061,8 @@ mod tests {
             .iter()
             .map(|&sb| (&app, tiny().with_sb(sb)))
             .collect();
-        let baseline = run_cells_checked(&cells, &SweepOptions::serial());
+        let baseline =
+            run_cells_supervised(&cells, &SweepOptions::serial(), &Supervision::default());
         // Chaos at 100%: with rate_e4 = 10_000 every attempt is
         // sacrificed, so even generous retries end in chaos failures…
         let all_fail = Supervision {
@@ -1201,7 +1109,7 @@ mod tests {
         let out = run_cells_supervised(&cells, &SweepOptions::with_jobs(2), &flaky);
         for (i, ((res, attempts), base)) in out.into_iter().zip(&baseline).enumerate() {
             let run = res.expect("10 attempts at 40% chaos converge");
-            let base = base.as_ref().unwrap();
+            let base = base.0.as_ref().unwrap();
             assert_eq!(run.cycles, base.cycles, "retries never perturb results");
             assert_eq!(run.uops, base.uops);
             assert_eq!(attempts, expected_attempts[i], "attempts follow the plan");

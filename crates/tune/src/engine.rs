@@ -4,14 +4,15 @@
 //! Every candidate point is expanded into one sweep cell per app and
 //! pushed through the same machinery as `spbsim sweep`:
 //!
-//! - the **content-addressed cache** (`spb-serve`) is probed first —
-//!   a cell whose `(code version, app, full config)` key has a cached
-//!   record with objective fields costs nothing, so re-running a tune
-//!   (or sharing cells between tunes, or between a tune and the sweep
-//!   service) is a cache hit;
-//! - misses run under [`run_cells_supervised`] — retries with
-//!   backoff, fault classification, watchdog deadlines — and their
-//!   records (with energy/coherence objectives) are stored back.
+//! - [`spb_serve::run_cached`] probes the **content-addressed cache**
+//!   first — a cell whose `(code version, app, full config)` key has a
+//!   cached record costs nothing, so re-running a tune (or sharing
+//!   cells between tunes, or with `spbsim sweep` and the sweep service)
+//!   is a cache hit;
+//! - misses run under [`spb_sim::sweep::run_cells_supervised`] —
+//!   retries with backoff, fault classification, watchdog deadlines —
+//!   and their records (with energy/coherence objectives) are stored
+//!   back.
 //!
 //! Everything is deterministic for a fixed `(space, strategy, seed,
 //! points, budget, apps)`: candidate selection is a seeded shuffle,
@@ -20,9 +21,9 @@
 
 use crate::pareto::{pareto_frontier, Objectives};
 use crate::space::{TunePoint, TuneSpace};
-use spb_serve::{CacheKey, Lookup, ResultCache};
+use spb_serve::{run_cached, ResultCache};
 use spb_sim::config::SimConfig;
-use spb_sim::sweep::{run_cells_supervised, Supervision, SweepOptions, SweepRecord};
+use spb_sim::sweep::{Supervision, SweepOptions};
 use spb_trace::profile::AppProfile;
 
 /// How candidate points are chosen from the space.
@@ -226,10 +227,9 @@ fn screen_config(base: &SimConfig) -> SimConfig {
     cfg
 }
 
-/// Evaluates `points` at `cfg`'s budget: cache probe, supervised run of
-/// the misses, store-back, objective aggregation. Points whose cells
-/// all resolve come back in candidate order; failing points are moved
-/// to `failed`.
+/// Evaluates `points` at `cfg`'s budget through the cache-backed runner,
+/// then aggregates objectives. Points whose cells all resolve come back
+/// in candidate order; failing points are moved to `failed`.
 #[allow(clippy::too_many_arguments)]
 fn evaluate(
     points: &[TunePoint],
@@ -241,82 +241,48 @@ fn evaluate(
     stats: &mut TuneStats,
     failed: &mut Vec<PointFailure>,
 ) -> Vec<PointOutcome> {
-    // One slot per (point, app) cell, probed against the cache first.
-    let mut slots: Vec<Option<CellOutcome>> = Vec::with_capacity(points.len() * apps.len());
-    let mut misses: Vec<(usize, &AppProfile, SimConfig, CacheKey)> = Vec::new();
-    for point in points {
-        for app in apps {
-            let cell_cfg = cfg
-                .clone()
-                .with_sb(point.sb)
-                .with_policy(point.policy);
-            let key = CacheKey::for_cell(app.name(), &cell_cfg);
-            let slot = slots.len();
-            match cache.lookup(key) {
-                // Only records that carry the objective fields can
-                // serve a tune; service-written records without them
-                // are recomputed (and upgraded in place).
-                Lookup::Hit(rec) if rec.energy_nj.is_some() && rec.coh_msgs.is_some() => {
-                    stats.cache_hits += 1;
-                    slots.push(Some(CellOutcome {
-                        app: app.name().to_string(),
-                        key: key.hex(),
-                        cycles: rec.cycles,
-                        energy_nj: rec.energy_nj.expect("checked"),
-                        coh_msgs: rec.coh_msgs.expect("checked"),
-                    }));
-                }
-                _ => {
-                    misses.push((slot, app, cell_cfg, key));
-                    slots.push(None);
-                }
-            }
-        }
+    // One (point, app) cell each: points outer, apps inner.
+    let cells: Vec<(&AppProfile, SimConfig)> = points
+        .iter()
+        .flat_map(|point| {
+            apps.iter()
+                .map(move |app| (app, cfg.clone().with_sb(point.sb).with_policy(point.policy)))
+        })
+        .collect();
+    let (resolved, s) = run_cached(Some(cache), true, &cells, sweep, supervision);
+    stats.cache_hits += s.hits;
+    stats.computed += s.computed;
+    if s.store_errors > 0 {
+        eprintln!("tune: {} cache store(s) failed", s.store_errors);
     }
 
-    // Simulate the misses through the supervised executor.
-    let cells: Vec<(&AppProfile, SimConfig)> =
-        misses.iter().map(|(_, a, c, _)| (*a, c.clone())).collect();
-    let results = run_cells_supervised(&cells, sweep, supervision);
-    let mut cell_errors: Vec<(usize, String)> = Vec::new();
-    for ((slot, app, _, key), (result, _attempts)) in misses.iter().zip(results) {
-        match result {
-            Ok(run) => {
-                stats.computed += 1;
-                let rec = SweepRecord::from_run_full(&run);
-                if let Err(e) = cache.store(*key, app.name(), &rec) {
-                    eprintln!("tune: cache store failed for {}: {e}", key.hex());
-                }
-                slots[*slot] = Some(CellOutcome {
-                    app: app.name().to_string(),
-                    key: key.hex(),
-                    cycles: rec.cycles,
-                    energy_nj: rec.energy_nj.expect("from_run_full populates"),
-                    coh_msgs: rec.coh_msgs.expect("from_run_full populates"),
-                });
-            }
-            Err(f) => cell_errors.push((*slot, f.to_string())),
-        }
-    }
-
-    // Reassemble per point.
     let mut out = Vec::with_capacity(points.len());
     for (i, point) in points.iter().enumerate() {
-        let base = i * apps.len();
-        let point_slots = &slots[base..base + apps.len()];
-        if let Some((slot, reason)) = cell_errors
+        let point_cells = &resolved[i * apps.len()..(i + 1) * apps.len()];
+        let first_error = point_cells
             .iter()
-            .find(|(s, _)| (base..base + apps.len()).contains(s))
-        {
+            .enumerate()
+            .find_map(|(j, c)| c.record.as_ref().err().map(|f| (j, f)));
+        if let Some((j, f)) = first_error {
             failed.push(PointFailure {
                 point: point.name(),
-                reason: format!("cell {}: {reason}", slot - base),
+                reason: format!("cell {j}: {f}"),
             });
             continue;
         }
-        let cells: Vec<CellOutcome> = point_slots
+        let cells: Vec<CellOutcome> = point_cells
             .iter()
-            .map(|s| s.clone().expect("non-failing cell is filled"))
+            .zip(apps)
+            .map(|(c, app)| {
+                let rec = c.record.as_ref().expect("failing points were skipped");
+                CellOutcome {
+                    app: app.name().to_string(),
+                    key: c.key.hex(),
+                    cycles: rec.cycles,
+                    energy_nj: rec.energy_nj.expect("run_cached records carry energy"),
+                    coh_msgs: rec.coh_msgs.expect("run_cached records carry coherence"),
+                }
+            })
             .collect();
         let mut objectives = Objectives::zero();
         for c in &cells {
